@@ -99,11 +99,14 @@ replancheck:
 
 ## deflakecheck: the membership/chaos suites that used to sleep-poll now
 ## block on watch channels; run them 10x under the race detector to prove
-## they are event-driven, not timing-lucky
+## they are event-driven, not timing-lucky. The exact sim/TCP prefetch and
+## journal conformance pair runs 50x: its counters must not depend on task
+## completion order
 deflakecheck:
 	$(GO) test -race -count=10 ./internal/membership/
 	$(GO) test -race -count=10 -run 'Elastic|Suspect|DeathRoutes|Membership' ./internal/rt/remote/
 	$(GO) test -race -count=2 ./internal/chaos/
+	$(GO) test -race -count=50 -run 'TestRuntimeConformance(Journal|Pipeline)' ./internal/rt/
 
 ## obscheck: per-query observability battery under the race detector — the
 ## journal/skew-detector/quantile unit suites, the sim-vs-TCP journal

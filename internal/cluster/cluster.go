@@ -473,8 +473,9 @@ func (c *Cluster) StageCacheGen() uint64 { return c.stageSeq.Load() + 1 }
 func (c *Cluster) NextStageGen() uint64 { return c.stageSeq.Add(1) }
 
 // PrefetchHistory returns the cluster's prefetch fetch-history. The
-// executor's simulated prefetch model records into and replays from it;
-// the TCP coordinator keeps its own (fed from worker fetch reports).
+// executor snapshots it at stage start and records into it; a TCP
+// coordinator shares the history of the cluster it embeds, fed from its
+// workers' fetch reports.
 func (c *Cluster) PrefetchHistory() *prefetch.History { return c.hist }
 
 // TaskCache returns the block cache of the node that task taskID runs on,
@@ -618,11 +619,6 @@ func (t *Task) AddCacheEvictions(n int) { t.cacheEvictions += int64(n) }
 func (t *Task) AddPrefetch(blocks, bytes int64) {
 	t.prefetchBlocks += blocks
 	t.prefetchBytes += bytes
-}
-
-// PrefetchCounters returns the task's prefetch metering.
-func (t *Task) PrefetchCounters() (blocks, bytes int64) {
-	return t.prefetchBlocks, t.prefetchBytes
 }
 
 // Counters returns the task's accumulated metering, for backends that fold

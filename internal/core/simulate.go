@@ -34,9 +34,15 @@ func Simulate(pp *PhysPlan, cl *cluster.Cluster) (cluster.Stats, error) {
 	// Per level: bandwidth and compute are shared cluster resources, so
 	// bytes and flops add up across concurrent operators; only scheduling
 	// overhead overlaps (the longest operator's waves gate the level).
-	levelNet := map[int]float64{}
-	levelCom := map[int]float64{}
-	levelOvh := map[int]float64{}
+	// Levels are dense from 0, so slices index them and the clock sums them
+	// in ascending order — the same bits on every call.
+	depth := 0
+	for _, lvl := range levels {
+		depth = max(depth, lvl+1)
+	}
+	levelNet := make([]float64, depth)
+	levelCom := make([]float64, depth)
+	levelOvh := make([]float64, depth)
 	for _, op := range pp.Ops {
 		desc := fmt.Sprintf("%s %s", op.Kind, op.Plan)
 		if op.EstMemPerTask > cfg.TaskMemBytes {
@@ -65,11 +71,6 @@ func Simulate(pp *PhysPlan, cl *cluster.Cluster) (cluster.Stats, error) {
 	}
 	for lvl, net := range levelNet {
 		s.SimSeconds += maxf(net/(n*cfg.NetBandwidth), levelCom[lvl]/(n*cfg.EffectiveCompBandwidth())) + levelOvh[lvl]
-	}
-	for lvl, ovh := range levelOvh {
-		if _, seen := levelNet[lvl]; !seen {
-			s.SimSeconds += ovh
-		}
 	}
 	if cfg.SimTimeLimit > 0 && s.SimSeconds > cfg.SimTimeLimit {
 		return s, fmt.Errorf("plan: simulated time %.0fs exceeds limit %.0fs: %w",

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"fuseme/internal/cluster"
@@ -63,6 +64,48 @@ func TestSimulateLevelParallelism(t *testing.T) {
 	}
 	if s.SimSeconds < 3 || s.SimSeconds >= 4 {
 		t.Fatalf("sim time %v, want about 3 (three levels of 1s overhead)", s.SimSeconds)
+	}
+}
+
+// TestSimulateDeterministic simulates one multi-level plan many times and
+// requires a bit-identical clock: per-level times must be summed in a fixed
+// order, since floating-point addition is not associative.
+func TestSimulateDeterministic(t *testing.T) {
+	cfg := cluster.Default()
+	cfg.TaskOverhead = 0.1
+	cfg.SimTimeLimit = 0
+	cl := cluster.MustNew(cfg)
+
+	// An eight-level chain whose level times differ by orders of magnitude,
+	// so any change in summation order shows in the last bits.
+	g := dag.NewGraph()
+	n := g.Input("A", 100, 100, 1)
+	pp := &PhysPlan{Graph: g}
+	for lvl := 0; lvl < 8; lvl++ {
+		n = g.Unary("sq", n)
+		p, err := fusion.NewPlan(n, map[int]*dag.Node{n.ID: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes := int64(1) << (7 * lvl)
+		pp.Ops = append(pp.Ops, &PhysOp{Plan: p, Strategy: exec.Cuboid, Kind: "Map",
+			EstNetBytes: bytes*3 + 1, EstComFlops: 1000, EstMemPerTask: 1000})
+	}
+	g.SetOutput("O", n)
+
+	first, err := Simulate(pp, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 100; i++ {
+		s, err := Simulate(pp, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(s.SimSeconds) != math.Float64bits(first.SimSeconds) {
+			t.Fatalf("call %d: SimSeconds %v (bits %x), first call %v (bits %x)",
+				i, s.SimSeconds, math.Float64bits(s.SimSeconds), first.SimSeconds, math.Float64bits(first.SimSeconds))
+		}
 	}
 }
 

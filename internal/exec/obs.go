@@ -80,18 +80,15 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, opKey string, st *rt.Stage) er
 	o.Counter(obs.MCacheEvictions).Add(after.CacheEvictions - before.CacheEvictions)
 	o.Gauge(obs.MCacheSavedBytes).Set(float64(after.CacheSavedBytes))
 
-	// Pipelined-execution diff. The TCP coordinator already bumps the
-	// fuseme_prefetch_*/fuseme_steal_* counters as it serves pulls; the
-	// simulated backend only folds its modelled admissions into Stats, so
-	// the counters are caught up from the stats diff here. Phase seconds
-	// feed the flight record's overlap ratio below.
+	// Pipelined-execution diff: both backends fold their prefetch
+	// admissions and steals into Stats, so the counters are fed from the
+	// diff alone. Phase seconds feed the flight record's overlap ratio below.
 	pfBlocks := after.PrefetchBlocks - before.PrefetchBlocks
 	pfBytes := after.PrefetchBytes - before.PrefetchBytes
 	steals := after.StealTasks - before.StealTasks
-	if _, sim := rtm.(prefetchHistorian); sim {
-		o.Counter(obs.MPrefetchBlocks).Add(pfBlocks)
-		o.Counter(obs.MPrefetchBytes).Add(pfBytes)
-	}
+	o.Counter(obs.MPrefetchBlocks).Add(pfBlocks)
+	o.Counter(obs.MPrefetchBytes).Add(pfBytes)
+	o.Counter(obs.MStealTasks).Add(steals)
 	dFetch := after.FetchSeconds - before.FetchSeconds
 	dPrefetch := after.PrefetchSeconds - before.PrefetchSeconds
 	dTask := after.TaskSeconds - before.TaskSeconds

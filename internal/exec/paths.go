@@ -9,6 +9,7 @@ import (
 	"fuseme/internal/dag"
 	"fuseme/internal/fusion"
 	"fuseme/internal/matrix"
+	"fuseme/internal/prefetch"
 	"fuseme/internal/rt"
 	"fuseme/internal/rt/spec"
 )
@@ -51,21 +52,23 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 	}
 	cfg := rtm.Config()
 	red := newStageReducer(ctx.sp.NumTasks, route, !cfg.DisablePipelining)
-	// The simulated prefetch model runs only on runtimes exposing a fetch
-	// history in-process (the sim cluster); the TCP coordinator prefetches
-	// for real, worker-side, and meters through the same admission loop.
+	// Prefetch hints come from the runtime's history frozen at stage start,
+	// so a stage never hints from its own tasks. The in-process task body
+	// models prefetch from them; the TCP coordinator issues real prefetches
+	// from the same snapshot.
+	hist := rtm.PrefetchHistory()
+	var hints prefetch.Hints
 	var pf *simPrefetcher
-	if ph, ok := rtm.(prefetchHistorian); ok {
-		if budget := cfg.EffectivePrefetchBytes(); budget > 0 {
-			pf = &simPrefetcher{
-				hist:   ph.PrefetchHistory(),
-				budget: budget,
-				stride: cfg.Nodes * cfg.TasksPerNode,
-				sp:     ctx.sp,
-				src:    src,
-				cacher: cacher,
-				gen:    gen,
-			}
+	if budget := cfg.EffectivePrefetchBytes(); budget > 0 {
+		hints = hist.Snapshot(ctx.sp.Name, ctx.sp.NumTasks)
+		pf = &simPrefetcher{
+			hints:  hints,
+			budget: budget,
+			lanes:  cfg.TotalSlots(),
+			sp:     ctx.sp,
+			src:    src,
+			cacher: cacher,
+			gen:    gen,
 		}
 	}
 	err := runObservedStage(rtm, ctx.op.Obs, ctx.op.opKey(), &rt.Stage{
@@ -90,7 +93,7 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 				return err
 			}
 			if pf != nil {
-				pf.hist.Record(ctx.sp.Name, ctx.sp.NumTasks, task.ID, rec.refs)
+				hist.Record(ctx.sp.Name, ctx.sp.NumTasks, task.ID, rec.refs)
 			}
 			red.complete(task.ID)
 			return nil
@@ -110,6 +113,7 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 			red.complete(taskID)
 			return nil
 		},
+		Hints: hints,
 	})
 	if err != nil {
 		return err

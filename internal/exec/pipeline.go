@@ -123,14 +123,6 @@ func (r *stageReducer) pending() int {
 	return n
 }
 
-// prefetchHistorian is the runtime capability gate for the simulated
-// prefetch model: only *cluster.Cluster exposes its fetch history this way
-// (the TCP coordinator keeps its own, fed by worker fetch reports), so the
-// in-process model never runs for stages a coordinator ships remotely.
-type prefetchHistorian interface {
-	PrefetchHistory() *prefetch.History
-}
-
 // fetchRecorder wraps a blockSource, recording the ordered refs a task
 // pulled. The recorded list is the task's prefetch hint for the next
 // execution of the same stage shape. Cache hits never reach the source, so
@@ -148,17 +140,15 @@ func (r *fetchRecorder) fetch(ref spec.BlockRef) (matrix.Mat, error) {
 
 // simPrefetcher models, on the simulated backend, the prefetch a TCP worker
 // performs: while task t runs, its worker pulls the recorded inputs of the
-// next task its node has not yet started — under home placement
-// taskID % Nodes with TasksPerNode concurrent slots per node, that is task
-// t + Nodes*TasksPerNode (the stride; anything nearer is already running on
-// a sibling slot) — skipping blocks already resident in the successor's
-// node cache, bounded by the admission budget. The model meters counters
-// only (the successor's own fetch path still moves and meters the blocks),
-// so wire and cache accounting stay exactly equal to a barrier run.
+// successor the shared hint function names (prefetch.Hints.Next over the
+// Nodes×TasksPerNode lanes), skipping blocks already resident in the
+// successor's node cache, bounded by the admission budget. The model meters
+// counters only (the successor's own fetch path still moves and meters the
+// blocks), so wire and cache accounting stay exactly equal to a barrier run.
 type simPrefetcher struct {
-	hist   *prefetch.History
+	hints  prefetch.Hints
 	budget int64
-	stride int
+	lanes  int
 	sp     *spec.Stage
 	src    blockSource
 	cacher rt.BlockCacher
@@ -167,12 +157,8 @@ type simPrefetcher struct {
 
 // model runs the admission loop for task's successor and meters the result.
 func (p *simPrefetcher) model(task *cluster.Task) {
-	next := task.ID + p.stride
-	if next >= p.sp.NumTasks {
-		return
-	}
-	hints := p.hist.Lookup(p.sp.Name, p.sp.NumTasks, next)
-	if len(hints) == 0 {
+	next, hints := p.hints.Next(task.ID, p.lanes)
+	if next < 0 {
 		return
 	}
 	var cache *blockcache.Cache
@@ -180,14 +166,8 @@ func (p *simPrefetcher) model(task *cluster.Task) {
 		cache = p.cacher.TaskCache(next)
 	}
 	resident := func(ref spec.BlockRef) bool {
-		if ref.Kind != spec.RefInput || cache == nil {
-			return false
-		}
-		ep, ok := p.sp.EpochOf(ref.Node)
-		if !ok {
-			return false
-		}
-		return cache.Contains(blockcache.Key{Node: ref.Node, Epoch: ep, BI: ref.BI, BJ: ref.BJ}, p.gen)
+		key, ok := prefetch.CacheKey(p.sp, ref)
+		return ok && cache != nil && cache.Contains(key, p.gen)
 	}
 	fetch := func(ref spec.BlockRef) (int64, bool) {
 		m, err := p.src.fetch(ref)

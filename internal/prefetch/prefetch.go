@@ -1,21 +1,30 @@
 // Package prefetch implements record-and-replay input prefetching for
-// pipelined stage execution. The first execution of a stage records, per
-// task, the ordered block references the task actually pulled over the
-// fetch path; on re-execution of the same stage shape (iterative workloads
-// re-run identical stages every iteration) that history becomes the
-// prefetch hint for the task's queue successor, so a worker can pull the
-// next task's inputs while the current task's kernel runs.
+// pipelined stage execution. Each execution of a stage records, per task,
+// the ordered block references the task actually pulled over the fetch
+// path; on re-execution of the same stage shape (iterative workloads re-run
+// identical stages every iteration) that history becomes the prefetch hint
+// for the task's queue successor, so a worker can pull the next task's
+// inputs while the current task's kernel runs.
 //
-// Both runtime backends share the same History and the same Admit loop, so
-// the prefetch counters they report are equal by construction: the
-// simulated cluster models a prefetch exactly where a TCP worker would
-// issue one.
+// Hints come only from earlier executions of a stage shape: a stage reads
+// its hints from a Snapshot of the history taken at stage start, and
+// records its own tasks' fetch lists without changing that snapshot. The
+// first execution of a shape therefore prefetches nothing, whatever order
+// its tasks finish in.
+//
+// This package is the whole prefetch policy. Both runtime backends take the
+// same snapshot, ask the same hint function (Hints.Next) for a task's
+// successor, key residency the same way (CacheKey) and admit through the
+// same loop (Admit), so the prefetch counters they report are equal by
+// construction: the simulated cluster models a prefetch exactly where a TCP
+// worker issues one.
 package prefetch
 
 import (
 	"fmt"
 	"sync"
 
+	"fuseme/internal/blockcache"
 	"fuseme/internal/rt/spec"
 )
 
@@ -68,22 +77,6 @@ func (h *History) Record(name string, numTasks, taskID int, refs []spec.BlockRef
 	tasks[taskID] = cp
 }
 
-// Lookup returns the recorded fetch list for one task of a stage shape, or
-// nil when the stage (or task) has never completed. The returned slice must
-// not be mutated.
-func (h *History) Lookup(name string, numTasks, taskID int) []spec.BlockRef {
-	if h == nil || taskID < 0 {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	tasks, ok := h.stages[stageKey(name, numTasks)]
-	if !ok || taskID >= len(tasks) {
-		return nil
-	}
-	return tasks[taskID]
-}
-
 // Stages returns how many stage shapes the history currently retains.
 func (h *History) Stages() int {
 	if h == nil {
@@ -92,6 +85,67 @@ func (h *History) Stages() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.stages)
+}
+
+// Hints is the frozen hint set of one stage execution. The zero value (a
+// shape that never completed) hints nothing.
+type Hints struct {
+	tasks [][]spec.BlockRef // per-task recorded refs; entries are never mutated
+}
+
+// Snapshot freezes the history of one stage shape. Take it at stage start:
+// Records made afterwards, including by the stage's own tasks, do not show
+// in it, so a stage's hints never depend on how far the stage has run.
+func (h *History) Snapshot(name string, numTasks int) Hints {
+	if h == nil {
+		return Hints{}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// Record replaces a task's slice and never writes into one, so copying
+	// the outer slice is enough to freeze the set.
+	return Hints{tasks: append([][]spec.BlockRef(nil), h.stages[stageKey(name, numTasks)]...)}
+}
+
+// Refs returns task's recorded fetch list, or nil when the task has none.
+// The returned slice must not be mutated.
+func (s Hints) Refs(task int) []spec.BlockRef {
+	if task < 0 || task >= len(s.tasks) {
+		return nil
+	}
+	return s.tasks[task]
+}
+
+// Next is the hint function: the successor a lane running task prefetches
+// for, and that successor's recorded refs. Under home placement with lanes
+// dispatch lanes in total (Nodes×TasksPerNode on the simulated cluster,
+// workers×task slots over TCP), the next task a lane has not yet started is
+// task + lanes; anything nearer is already running on a sibling lane. next
+// is -1 and refs nil when the successor is past the stage or has no
+// recorded refs.
+func (s Hints) Next(task, lanes int) (next int, refs []spec.BlockRef) {
+	if lanes < 1 {
+		return -1, nil
+	}
+	next = task + lanes
+	if refs = s.Refs(next); len(refs) == 0 {
+		return -1, nil
+	}
+	return next, refs
+}
+
+// CacheKey maps a block reference of stage sp to the block-cache key it is
+// resident under. ok is false for non-input refs (partials are never
+// cached) and for inputs the stage advertises no epoch for (caching off).
+func CacheKey(sp *spec.Stage, ref spec.BlockRef) (key blockcache.Key, ok bool) {
+	if ref.Kind != spec.RefInput {
+		return key, false
+	}
+	ep, ok := sp.EpochOf(ref.Node)
+	if !ok {
+		return key, false
+	}
+	return blockcache.Key{Node: ref.Node, Epoch: ep, BI: ref.BI, BJ: ref.BJ}, true
 }
 
 // Admit runs the deterministic prefetch admission loop over a hint list:

@@ -1,6 +1,7 @@
 package rt_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -162,11 +163,32 @@ func TestRuntimeConformanceJournal(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			first, second := runJournaledGNMF(t, open(t))
 			if !reflect.DeepEqual(first, simFirst) {
-				t.Errorf("first run journals diverge:\n tcp %+v\n sim %+v", first, simFirst)
+				t.Errorf("first run journals diverge at %s", firstDiff(first, simFirst))
 			}
 			if !reflect.DeepEqual(second, simSecond) {
-				t.Errorf("second run journals diverge:\n tcp %+v\n sim %+v", second, simSecond)
+				t.Errorf("second run journals diverge at %s", firstDiff(second, simSecond))
 			}
 		})
 	}
+}
+
+// firstDiff locates the first event where the TCP journal differs from the
+// sim journal and prints both, flight records dereferenced so the diverging
+// field is visible (a %+v of the event shows only the Flight pointer).
+func firstDiff(tcp, sim []normEvent) string {
+	for i := 0; i < len(tcp) && i < len(sim); i++ {
+		if !reflect.DeepEqual(tcp[i], sim[i]) {
+			return fmt.Sprintf("event %d:\n tcp %s\n sim %s", i, describeEvent(tcp[i]), describeEvent(sim[i]))
+		}
+	}
+	return fmt.Sprintf("length: tcp journaled %d events, sim %d (common prefix equal)", len(tcp), len(sim))
+}
+
+// describeEvent renders one normalized event with its flight record inline.
+func describeEvent(e normEvent) string {
+	flight := "<nil>"
+	if e.Flight != nil {
+		flight = fmt.Sprintf("%+v", *e.Flight)
+	}
+	return fmt.Sprintf("{Type:%s Stage:%s Op:%s Tasks:%d Error:%q Flight:%s}", e.Type, e.Stage, e.Op, e.Tasks, e.Error, flight)
 }

@@ -62,12 +62,6 @@ type Coordinator struct {
 	mem    *membership.Table
 	ledger *membership.Ledger[blockcache.Key]
 
-	// hist records each task's fetch-path refs (reported in taskDone.Fetched)
-	// keyed by stage shape; the next execution of the same shape ships them
-	// as prefetch hints. Mirrors the simulated cluster's history, but fed by
-	// the workers' reports rather than an in-process recorder.
-	hist *prefetch.History
-
 	// addMu serializes membership-mutating operations (AddWorker, leave) so
 	// member IDs always equal their slot in the workers slice.
 	addMu sync.Mutex
@@ -181,13 +175,6 @@ type workerConn struct {
 	// probeMu serializes suspect-state probes for this worker.
 	probeMu sync.Mutex
 
-	// stealOK records whether the worker volunteers for work-stealing.
-	// Defaults true; learned from the task connection — a pipelined task
-	// that completes WITHOUT a msgTaskSteal frame means the worker runs
-	// with -steal=false, and the flag flips off. Best-effort: a worker that
-	// never ran a task keeps the default.
-	stealOK atomic.Bool
-
 	// Clock-skew estimate for this worker, fed by ping/pong samples. The
 	// lowest-RTT sample wins (see skew.go); sampled guards the first write.
 	clockMu  sync.Mutex
@@ -267,7 +254,6 @@ func NewCoordinatorConfig(cfg cluster.Config, addrs []string, rcfg Config) (*Coo
 		rcfg:          rcfg,
 		mem:           membership.NewTable(),
 		ledger:        membership.NewLedger[blockcache.Key](),
-		hist:          prefetch.NewHistory(),
 		hbStop:        make(chan struct{}),
 		kernelThreads: cfg.KernelThreads,
 		taskSlots:     cfg.TasksPerNode,
@@ -334,7 +320,6 @@ func (c *Coordinator) AddWorker(addr string) (int, error) {
 	}
 	m := c.mem.Join(addr)
 	w := &workerConn{id: m.ID, addr: addr, ctrl: conn}
-	w.stealOK.Store(true)
 	c.wmu.Lock()
 	c.workers = append(c.workers, w)
 	c.wmu.Unlock()
@@ -736,6 +721,10 @@ func (c *Coordinator) Stats() cluster.Stats { return c.local.Stats() }
 // ResetStats clears accumulated metrics.
 func (c *Coordinator) ResetStats() { c.local.ResetStats() }
 
+// PrefetchHistory returns the embedded cluster's prefetch history: the
+// runtime's one history, fed here from the workers' fetch reports.
+func (c *Coordinator) PrefetchHistory() *prefetch.History { return c.local.PrefetchHistory() }
+
 // CheckAdmission applies the per-task memory budget, as under simulation.
 func (c *Coordinator) CheckAdmission(estTaskMemBytes int64, what string) error {
 	return c.local.CheckAdmission(estTaskMemBytes, what)
@@ -779,8 +768,8 @@ type wireMeter struct {
 
 	// Prefetch admissions served this stage (msgPrefetch pulls). Bytes are
 	// the in-memory SizeBytes of the served blocks — the same accounting the
-	// simulated prefetch model uses, so the two backends' fuseme_prefetch_*
-	// counters are comparable. The wire bytes of those pulls land in the
+	// simulated prefetch model uses, so the two backends' prefetch counters
+	// are comparable. The wire bytes of those pulls land in the
 	// classified counters above exactly as a direct fetch would; prefetch
 	// moves traffic earlier, it never adds any.
 	pfBlocks atomic.Int64
@@ -902,15 +891,8 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 	preferFor := func(thief int) func(victim int, tasks []int) int {
 		return func(victim int, tasks []int) int {
 			for i := len(tasks) - 1; i >= 0; i-- {
-				for _, ref := range c.hist.Lookup(sp.Name, sp.NumTasks, tasks[i]) {
-					if ref.Kind != spec.RefInput {
-						continue
-					}
-					ep, ok := sp.EpochOf(ref.Node)
-					if !ok {
-						continue
-					}
-					if c.ledger.Holds(thief, blockcache.Key{Node: ref.Node, Epoch: ep, BI: ref.BI, BJ: ref.BJ}) {
+				for _, ref := range st.Hints.Refs(tasks[i]) {
+					if key, ok := prefetch.CacheKey(sp, ref); ok && c.ledger.Holds(thief, key) {
 						return i
 					}
 				}
@@ -932,21 +914,14 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 			o.Histogram(obs.MQueueSeconds).Observe(taskStart.Sub(start).Seconds())
 			span = o.StartSpan(fmt.Sprintf("task %d", taskID), "sched", 1+taskID%64)
 		}
-		// Prefetch hint: the recorded transfer set of the next task this
-		// worker has not yet started — taskID + workers*lanes under home
-		// placement, since anything nearer is already running on a sibling
-		// lane. The formula is deterministic (it matches the simulated
-		// model's stride), so the admitted set never depends on scheduling.
-		// Empty history (first run of a shape) ships no hints but the
-		// positive budget still asks the worker for its fetch report, which
-		// seeds the history.
+		// Prefetch hint from the shared hint function over the stage's
+		// frozen hints and the workers×slots lanes, so the admitted set
+		// never depends on scheduling. Empty hints (first run of a shape)
+		// ship nothing, but the positive budget still asks the worker for
+		// its fetch report, which seeds the history.
 		pf := pfAssign{task: -1, budget: budget}
 		if budget > 0 {
-			if next := taskID + len(ws)*c.taskSlots; next < sp.NumTasks {
-				if refs := c.hist.Lookup(sp.Name, sp.NumTasks, next); len(refs) > 0 {
-					pf.task, pf.refs = next, refs
-				}
-			}
+			pf.task, pf.refs = st.Hints.Next(taskID, len(ws)*c.taskSlots)
 		}
 		done, dw, err := c.runTaskWithRetry(st, taskID, gen, &wire, colocated, w, pf)
 		if perTask {
@@ -1016,12 +991,11 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 				return
 			}
 			taskID, ok := queues.popOwn(w.id)
-			if !ok && stealing && w.stealOK.Load() {
+			if !ok && stealing {
 				var victim int
 				taskID, victim, ok = queues.steal(w.id, preferFor(w.id))
 				if ok {
 					stealTasks.Add(1)
-					c.getObs().Counter(obs.MStealTasks).Inc()
 					// Tell the victim to drop anything it prefetched for
 					// the stolen task; best-effort.
 					if vw := c.workerByID(victim); vw != nil && vw.alive.Load() {
@@ -1165,7 +1139,6 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 	if err := writeGob(conn, msgTask, assign); err != nil {
 		return taskDone{}, transportError{err}
 	}
-	sawSteal := false
 	for {
 		typ, payload, err := readFrame(conn)
 		if err != nil {
@@ -1188,10 +1161,6 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 			if typ == msgPrefetch && reply[0] != blockError {
 				wire.pfBlocks.Add(1)
 				wire.pfBytes.Add(size)
-				if o := c.getObs(); o.Enabled() {
-					o.Counter(obs.MPrefetchBlocks).Inc()
-					o.Counter(obs.MPrefetchBytes).Add(size)
-				}
 			}
 		case msgCacheAd:
 			ad, err := spec.DecodeCacheAdvert(payload)
@@ -1200,8 +1169,6 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 			}
 			c.ledger.Record(w.id, ad.Added, ad.Evicted)
 			c.replicateAdvert(st, w, ad, gen, wire)
-		case msgTaskSteal:
-			sawSteal = true
 		case msgDone:
 			var done taskDone
 			if err := decodeGob(payload, &done); err != nil {
@@ -1209,11 +1176,9 @@ func (c *Coordinator) runTaskOn(w *workerConn, st *rt.Stage, taskID int, gen uin
 			}
 			wire.countResults(done.Blocks)
 			if pf.budget > 0 {
-				// Learn the worker's steal preference and fold its fetch
-				// report into the prefetch history for the next execution
-				// of this stage shape.
-				w.stealOK.Store(sawSteal)
-				c.hist.Record(st.Spec.Name, st.Spec.NumTasks, taskID, done.Fetched)
+				// Fold the worker's fetch report into the prefetch history
+				// for the next execution of this stage shape.
+				c.local.PrefetchHistory().Record(st.Spec.Name, st.Spec.NumTasks, taskID, done.Fetched)
 			}
 			return done, nil
 		case msgFail:

@@ -78,35 +78,3 @@ func TestRemoteStragglerSteal(t *testing.T) {
 		t.Errorf("simulated backend reported %d steals; it has no queues to steal from", ref.Total.StealTasks)
 	}
 }
-
-// TestRemoteStealOptOut: a worker started with stealing disabled
-// (fuseme-worker -steal=false → SetSteal(false)) never volunteers, so the
-// coordinator must not route it stolen tasks even when it idles next to a
-// straggler. The opt-out is learned from the task stream, so a warm-up run
-// lets the coordinator observe it before the straggler run is measured.
-func TestRemoteStealOptOut(t *testing.T) {
-	bs := testConfig().BlockSize
-	co, workers := startStealCluster(t, 2)
-	workers[1].SetSteal(false)
-
-	x, u, v := gnmfInputs(bs)
-	warm, err := workloads.RunGNMF(core.FuseME{}, co, x, u.Clone(), v.Clone(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	workers[0].SetTaskDelay(20 * time.Millisecond)
-	res, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := workloads.RunGNMF(core.FuseME{}, cluster.MustNew(stealConfig()), x, u.Clone(), v.Clone(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareMatrices(t, "U with steal opt-out", res.U, ref.U)
-	compareMatrices(t, "V with steal opt-out", res.V, ref.V)
-	if stolen := co.Stats().StealTasks - warm.Total.StealTasks; stolen != 0 {
-		t.Errorf("opted-out worker was routed %d stolen tasks", stolen)
-	}
-}

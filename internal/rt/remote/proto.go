@@ -39,8 +39,11 @@ import (
 // execution: prefetch hints in taskAssign with msgPrefetch pulls on the
 // task connection, the worker's fetch report (taskDone.Fetched) feeding the
 // coordinator's prefetch history, and the work-stealing pair
-// msgTaskSteal/msgTaskRelease.
-const protoVersion = 5
+// msgTaskSteal/msgTaskRelease. Version 6 removed the per-worker steal
+// opt-out: workers no longer send msgTaskSteal before msgDone, and every
+// live worker may steal unless the cluster disables stealing
+// (cluster.Config.DisableStealing). Frame number 17 stays reserved.
+const protoVersion = 6
 
 // Frame types.
 const (
@@ -64,7 +67,7 @@ const (
 
 	// Pipelined-execution frames (proto v5).
 	msgPrefetch    = byte(16) // worker → coordinator: gob(spec.BlockRef), on task conn; reply msgBlock. A pull for the NEXT task's input.
-	msgTaskSteal   = byte(17) // worker → coordinator: empty, on task conn before msgDone; the worker volunteers for steals
+	_              = byte(17) // reserved: msgTaskSteal, the v5 steal opt-in, removed in v6
 	msgTaskRelease = byte(18) // coordinator → worker: gob(taskRelease), on control conn, no reply; drop prefetched state for a stolen task
 )
 

@@ -71,12 +71,6 @@ type Worker struct {
 	// worker serves tasks.
 	cache atomic.Pointer[blockcache.Cache]
 
-	// steal, when true (the default), makes the worker volunteer for
-	// work-stealing: each task connection sends msgTaskSteal before msgDone,
-	// telling the coordinator this worker's idle lanes may pull queued tasks
-	// from stragglers. -steal=false opts a worker out.
-	steal atomic.Bool
-
 	// Prefetch buffer: blocks pulled ahead for a next-task assignment
 	// (msgPrefetch), keyed by (stage generation, task). The next task's
 	// fetch path consumes entries; msgTaskRelease and generation turnover
@@ -125,7 +119,6 @@ func NewWorker(addr string) (*Worker, error) {
 	}
 	w.killAfter.Store(-1)
 	w.kernelOverride.Store(-1)
-	w.steal.Store(true)
 	w.wg.Add(1)
 	go w.acceptLoop()
 	return w, nil
@@ -151,10 +144,6 @@ func (w *Worker) SetCacheBytes(n int64) {
 
 // CacheStats returns the worker cache's counters; zeroes with no cache.
 func (w *Worker) CacheStats() blockcache.Stats { return w.cache.Load().Snapshot() }
-
-// SetSteal sets whether the worker volunteers for work-stealing (the
-// -steal flag; default true).
-func (w *Worker) SetSteal(on bool) { w.steal.Store(on) }
 
 // SetTaskDelay stalls every subsequent task body by d inside the timed task
 // section, behaving like a long kernel the prefetcher overlaps — a hook
@@ -222,18 +211,6 @@ func (w *Worker) pfDrop(gen uint64, task int) {
 	w.pfMu.Lock()
 	delete(w.pfBuf, pfKey{gen: gen, task: task})
 	w.pfMu.Unlock()
-}
-
-// PrefetchBuffered returns how many blocks the prefetch buffer currently
-// holds, across tasks. Tests assert it drains back to zero.
-func (w *Worker) PrefetchBuffered() int {
-	w.pfMu.Lock()
-	defer w.pfMu.Unlock()
-	n := 0
-	for _, m := range w.pfBuf {
-		n += len(m)
-	}
-	return n
 }
 
 // SetKernelThreads pins this worker's intra-task kernel thread count,
@@ -591,14 +568,8 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 				if w.pfHas(assign.Gen, next, ref) {
 					return true
 				}
-				if ref.Kind != spec.RefInput || cache == nil {
-					return false
-				}
-				ep, ok := assign.Stage.EpochOf(ref.Node)
-				if !ok {
-					return false
-				}
-				return cache.Contains(blockcache.Key{Node: ref.Node, Epoch: ep, BI: ref.BI, BJ: ref.BJ}, assign.Gen)
+				key, ok := prefetch.CacheKey(&assign.Stage, ref)
+				return ok && cache != nil && cache.Contains(key, assign.Gen)
 			}
 			pull := func(ref spec.BlockRef) (int64, bool) {
 				start := time.Now()
@@ -694,13 +665,6 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 				StartUnixNano: s.Start.UnixNano(),
 				DurNanos:      s.End.Sub(s.Start).Nanoseconds(),
 			})
-		}
-	}
-	if pipelined && w.steal.Load() {
-		// Volunteer this worker's lanes for work-stealing. Sent before
-		// msgDone so the coordinator sees the flag before it frees the slot.
-		if writeFrame(conn, msgTaskSteal, nil) != nil {
-			return
 		}
 	}
 	con, agg, flops, mem := task.Counters()

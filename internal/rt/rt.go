@@ -15,6 +15,7 @@ import (
 	"fuseme/internal/blockcache"
 	"fuseme/internal/cluster"
 	"fuseme/internal/matrix"
+	"fuseme/internal/prefetch"
 	"fuseme/internal/rt/spec"
 )
 
@@ -34,6 +35,9 @@ type Runtime interface {
 	CheckAdmission(estTaskMemBytes int64, what string) error
 	// RunStage executes numTasks tasks of one distributed stage in-process.
 	RunStage(name string, numTasks int, fn func(t *cluster.Task) error) error
+	// PrefetchHistory returns the runtime's one prefetch fetch history.
+	// Persistent across queries; the executor snapshots it into Stage.Hints.
+	PrefetchHistory() *prefetch.History
 	// Close releases backend resources (worker connections).
 	Close() error
 }
@@ -83,6 +87,12 @@ type Stage struct {
 	// Collect folds one remote task's result blocks into the stage sinks.
 	// Required when Spec is set.
 	Collect func(taskID int, blocks []spec.OutBlock) error
+
+	// Hints is the prefetch history of this stage's shape, frozen at stage
+	// start. Whichever backend runs the stage draws every prefetch hint and
+	// steal preference from it; the zero value (first execution, or
+	// prefetch disabled) hints nothing.
+	Hints prefetch.Hints
 }
 
 // RunStage dispatches st to r: descriptor-capable runtimes execute the spec
