@@ -114,13 +114,17 @@ deflakecheck:
 ## the /v1/queries introspection endpoints (served flights must equal the
 ## flight recorder's records exactly) with the concurrent-status soak, the
 ## session journal lifecycle + overhead gate, the injected-straggler chaos
-## test, and the fuseme-top dashboard client
+## test, the fuseme-top dashboard client, and the single stage record: the
+## RecordStage fan-out, predictions on every record without a calibration
+## aggregate, bounded calibration state across 500 queries, and the offline
+## report equal to the live one
 obscheck:
-	$(GO) test -race -count=1 -run 'Journal|Skew|Slowdown|Quantile|Snapshot|ServeMetrics|DebugStats|Pprof' ./internal/obs/
+	$(GO) test -race -count=1 -run 'Journal|Skew|Slowdown|Quantile|Snapshot|ServeMetrics|DebugStats|Pprof|RecordStage' ./internal/obs/
 	$(GO) test -race -count=1 -run TestRuntimeConformanceJournal ./internal/rt/
+	$(GO) test -race -count=1 -run TestRunObsStageRecordsCarryPredictions ./internal/core/
 	$(GO) test -race -count=1 -run 'TestQueryIntrospection|TestQueriesEndpointErrors|TestStatusUnderConcurrentQueries' ./internal/serve/
 	$(GO) test -race -count=1 -run TestStragglerDetection ./internal/chaos/
-	$(GO) test -race -count=1 -run 'TestSessionJournal|TestSetQueryLog|TestSessionSkewDetector|TestJournalOverheadGate' .
+	$(GO) test -race -count=1 -run 'TestSessionJournal|TestSetQueryLog|TestSessionSkewDetector|TestJournalOverheadGate|TestCalibrationBoundedAcrossQueries|TestCalibrationOfflineEqualsLive' .
 	$(GO) test -race -count=1 ./cmd/fuseme-top/
 
 ## benchdiff: regenerate the bench documents into /tmp and diff them against

@@ -1,8 +1,10 @@
 package fuseme
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -19,8 +21,8 @@ func seedNetBound(cs *CalibrationStore, cfg ClusterConfig, netBW float64) {
 		Nodes:         cfg.Nodes,
 		NetBandwidth:  cfg.NetBandwidth,
 		CompBandwidth: cc.EffectiveCompBandwidth(),
-	}, obs.StagePred{Op: "seed", NetBytes: 1 << 30, ComFlops: 1},
-		obs.StageMeas{Op: "seed", ConsolidationBytes: int64(netBW * float64(cfg.Nodes)), WallSeconds: 1})
+	}, obs.FlightRecord{Op: "seed", PredNetBytes: 1 << 30, PredComFlops: 1,
+		MeasConsolidationBytes: int64(netBW * float64(cfg.Nodes)), MeasWallSeconds: 1})
 }
 
 // TestCalibrationSessionLearnsAndSaves: a session attached to a persisted
@@ -234,5 +236,92 @@ func TestSessionReplanBitIdentity(t *testing.T) {
 	}
 	if c, r, _ := plain.ReplanStats(); c != 0 || r != 0 {
 		t.Errorf("plain session reported replan activity: %d checks, %d replans", c, r)
+	}
+}
+
+// TestCalibrationBoundedAcrossQueries: a long-lived session keeps one
+// calibration entry per distinct operator, however many queries it runs.
+func TestCalibrationBoundedAcrossQueries(t *testing.T) {
+	cfg := LocalClusterConfig()
+	cfg.BlockSize = 16
+	sess, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	sess.RandomDense("X", 32, 24, 0, 1, 1)
+	const script, queries = "Y = t(X) %*% X", 500
+	for i := 0; i < queries; i++ {
+		if _, err := sess.Query(script); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cq, err := sess.compile(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The report renders one row per aggregate entry.
+	rows := sess.CalibrationReport().Rows
+	if len(rows) != len(cq.pp.Ops) {
+		t.Fatalf("calibration holds %d entries after %d queries, want %d (one per operator)", len(rows), queries, len(cq.pp.Ops))
+	}
+	for _, row := range rows {
+		if row.Executions != queries {
+			t.Errorf("%s: %d executions, want %d", row.Op, row.Executions, queries)
+		}
+	}
+}
+
+// TestCalibrationOfflineEqualsLive: the report rebuilt offline from a
+// replan-on GNMF session's flight file equals the session's live report.
+// Re-planning changes operators' predictions mid-session, so both must
+// report the same (latest) prediction.
+func TestCalibrationOfflineEqualsLive(t *testing.T) {
+	cfg := LocalClusterConfig()
+	cfg.BlockSize = 16
+	cfg.Nodes, cfg.TasksPerNode = 2, 3
+	const (
+		users, items, k = 80, 64, 32
+		updateU         = `U2 = U * (t(V) %*% X) / (t(V) %*% V %*% U)`
+		updateV         = `V2 = V * (X %*% t(U)) / (V %*% (U %*% t(U)))`
+	)
+	store := NewCalibrationStore()
+	seedNetBound(store, cfg, cfg.NetBandwidth/100)
+	var flight bytes.Buffer
+	sess, err := NewSession(cfg, WithReplan(true), WithBlockCache(1<<30),
+		WithCalibrationStore(store), WithFlightWriter(&flight))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.replanner.Threshold = -1 // re-cost at every boundary
+	sess.RandomSparse("X", users, items, 0.2, 1, 5, 1)
+	sess.RandomDense("U", k, items, 0.1, 0.9, 2)
+	sess.RandomDense("V", users, k, 0.1, 0.9, 3)
+	for it := 0; it < 3; it++ {
+		out, err := sess.Query(updateU)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.Bind("U", out["U2"])
+		if out, err = sess.Query(updateV); err != nil {
+			t.Fatal(err)
+		}
+		sess.Bind("V", out["V2"])
+	}
+	if _, replans, _ := sess.ReplanStats(); replans == 0 {
+		t.Fatal("replanner never swapped a plan; predictions did not change mid-session")
+	}
+	live := sess.CalibrationReport().Rows
+	model := sess.calibModel()
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadFlightRecords(&flight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offline := obs.ReportFromFlight(recs, model).Rows
+	if len(live) == 0 || !reflect.DeepEqual(offline, live) {
+		t.Fatalf("offline report differs from live:\noffline %+v\nlive    %+v", offline, live)
 	}
 }

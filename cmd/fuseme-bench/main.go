@@ -49,9 +49,6 @@ func main() {
 			opts.Obs.Trace = obs.NewRecorder()
 		}
 		if *flightOut != "" {
-			// Flight records join measurements against predictions, so the
-			// calibration store must be live too.
-			opts.Obs.Calib = obs.NewCalibration()
 			fr, ferr := obs.OpenFlightRecorder(*flightOut)
 			if ferr != nil {
 				fmt.Fprintln(os.Stderr, "fuseme-bench:", ferr)

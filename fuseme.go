@@ -28,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 	"sync"
@@ -784,7 +783,10 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 		}
 		return nil, err
 	}
+	// Compile time covers a plan-cache hit too: then it is the lookup.
+	compileStart := time.Now()
 	cq, err := s.compile(script)
+	compileSeconds := time.Since(compileStart).Seconds()
 	if err != nil {
 		return fail(err)
 	}
@@ -812,11 +814,12 @@ func (s *Session) Query(script string) (map[string]*Matrix, error) {
 		cc := cq.rtm.Config()
 		cc.LearnedNetBandwidth, cc.LearnedCompBandwidth = s.learnedBandwidths()
 		qlog.Emit(obs.Event{Type: obs.EvPlanned,
-			Engine:       s.engine.Name(),
-			Plan:         cq.pp.Describe(),
-			PlanCacheHit: s.lastPlanHit,
-			Operators:    len(cq.pp.Ops),
-			PredSeconds:  predictedSeconds(cq.pp, cc)})
+			Engine:         s.engine.Name(),
+			Plan:           cq.pp.Describe(),
+			PlanCacheHit:   s.lastPlanHit,
+			Operators:      len(cq.pp.Ops),
+			PredSeconds:    cq.pp.PredictedSeconds(cc),
+			CompileSeconds: compileSeconds})
 		if replanned {
 			qlog.Emit(obs.Event{Type: obs.EvReplanned,
 				Plan:       cq.pp.Describe(),
@@ -857,36 +860,6 @@ func (s *Session) beginQueryLog() *obs.QueryLog {
 	s.queryCount++
 	name, _ := s.tenantTag()
 	return s.journal.Begin(fmt.Sprintf("q%d", s.queryCount), name)
-}
-
-// predictedSeconds is the plan's predicted Eq. 2 wall time: each operator's
-// max(net, comp) term under the config's bandwidths (learned when set),
-// summed across operators.
-func predictedSeconds(pp *core.PhysPlan, cc cluster.Config) float64 {
-	n := float64(cc.Nodes)
-	if n <= 0 {
-		n = 1
-	}
-	netBW := cc.NetBandwidth
-	if cc.LearnedNetBandwidth > 0 {
-		netBW = cc.LearnedNetBandwidth
-	}
-	compBW := cc.EffectiveCompBandwidth()
-	if cc.LearnedCompBandwidth > 0 {
-		compBW = cc.LearnedCompBandwidth
-	}
-	var total float64
-	for _, op := range pp.Ops {
-		var netSec, comSec float64
-		if netBW > 0 {
-			netSec = float64(op.EstNetBytes) / (n * netBW)
-		}
-		if compBW > 0 {
-			comSec = float64(op.EstComFlops) / (n * compBW)
-		}
-		total += math.Max(netSec, comSec)
-	}
-	return total
 }
 
 // Explain compiles a script and returns the physical plan description —

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"fuseme/internal/block"
@@ -39,11 +40,15 @@ type PhysOp struct {
 	EstMemPerTask int64
 }
 
-// OpKey is the operator's observability key: it names the operator in
-// calibration reports, joining compile-time predictions to the stage
-// measurements the executor records under the same key.
-func (op *PhysOp) OpKey() string {
-	return fmt.Sprintf("%s %s#%d", op.Kind, op.Plan.Root.Label(), op.Plan.Root.ID)
+// Pred is the operator's compile-time cost prediction under its
+// observability key ("CFO mul#12"): the executor stamps it on every stage
+// record the operator runs, joining prediction to measurement.
+func (op *PhysOp) Pred() obs.StagePred {
+	return obs.StagePred{
+		Op:   fmt.Sprintf("%s %s#%d", op.Kind, op.Plan.Root.Label(), op.Plan.Root.ID),
+		Kind: op.Kind, P: op.P, Q: op.Q, R: op.R,
+		NetBytes: op.EstNetBytes, ComFlops: op.EstComFlops, MemBytes: op.EstMemPerTask,
+	}
 }
 
 // PhysPlan is a compiled query: fused operators in execution (topological)
@@ -79,25 +84,23 @@ func (pp *PhysPlan) Describe() string {
 // matching what the compile actually priced with), the configured constants
 // otherwise. This is what `fuseme -explain` prints before execution.
 func (pp *PhysPlan) DescribeCosts(cfg cluster.Config) string {
-	n := float64(cfg.Nodes)
-	netBW, netSrc := cfg.NetBandwidth, ""
+	m := modelFor(cfg)
+	netSrc, compSrc := "", ""
 	if cfg.LearnedNetBandwidth > 0 {
-		netBW, netSrc = cfg.LearnedNetBandwidth, " learned"
+		netSrc = " learned"
 	}
-	compBW, compSrc := cfg.EffectiveCompBandwidth(), ""
 	if cfg.LearnedCompBandwidth > 0 {
-		compBW, compSrc = cfg.LearnedCompBandwidth, " learned"
+		compSrc = " learned"
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "predicted costs (N=%d, B̂n=%.3g B/s%s, B̂c=%.3g flop/s%s, θt=%s):\n",
-		cfg.Nodes, netBW, netSrc, compBW, compSrc, cluster.FormatBytes(cfg.TaskMemBytes))
+		cfg.Nodes, m.NetBW, netSrc, m.CompBW, compSrc, cluster.FormatBytes(cfg.TaskMemBytes))
 	for i, op := range pp.Ops {
 		pqr := "-"
 		if op.Strategy == exec.Cuboid && op.Plan.MainMM != nil {
 			pqr = fmt.Sprintf("(%d,%d,%d)", op.P, op.Q, op.R)
 		}
-		netSec := float64(op.EstNetBytes) / (n * netBW)
-		comSec := float64(op.EstComFlops) / (n * compBW)
+		netSec, comSec := m.Seconds(op.EstNetBytes, op.EstComFlops)
 		bound, total := "net", netSec
 		if comSec > netSec {
 			bound, total = "comp", comSec
@@ -110,6 +113,18 @@ func (pp *PhysPlan) DescribeCosts(cfg cluster.Config) string {
 			total, netSec, comSec, bound)
 	}
 	return b.String()
+}
+
+// PredictedSeconds is the plan's predicted Eq. 2 wall time: each operator's
+// max(net, comp) term under modelFor's bandwidths (learned when set), summed
+// across operators.
+func (pp *PhysPlan) PredictedSeconds(cc cluster.Config) float64 {
+	m := modelFor(cc)
+	var total float64
+	for _, op := range pp.Ops {
+		total += math.Max(m.Seconds(op.EstNetBytes, op.EstComFlops))
+	}
+	return total
 }
 
 // Engine compiles logical plans for a particular system.
@@ -131,9 +146,9 @@ func Execute(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix) (map
 }
 
 // ExecuteObs is Execute with observability: when o is enabled it opens a
-// plan span, records each operator's compile-time cost prediction for
-// calibration, and threads o into every fused operator so stages and tasks
-// are instrumented. A nil o is exactly Execute.
+// plan span and threads o, with each operator's compile-time cost
+// prediction, into every fused operator so stages and tasks are instrumented
+// and every stage record carries its prediction. A nil o is exactly Execute.
 func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o *obs.Obs) (map[string]*block.Matrix, error) {
 	planSpan := o.StartSpan("plan", "plan", 0)
 	if planSpan != nil {
@@ -157,12 +172,6 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 		if err := rtm.CheckAdmission(op.EstMemPerTask, desc); err != nil {
 			return nil, err
 		}
-		if o.Enabled() {
-			o.Predict(obs.StagePred{
-				Op: op.OpKey(), Kind: op.Kind, P: op.P, Q: op.Q, R: op.R,
-				NetBytes: op.EstNetBytes, ComFlops: op.EstComFlops, MemBytes: op.EstMemPerTask,
-			})
-		}
 		bind := exec.Bindings{}
 		plans := op.Group
 		if len(plans) == 0 {
@@ -182,7 +191,7 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 			}
 		}
 		if len(op.Group) > 0 {
-			multi := &exec.MultiAggOp{Plans: op.Group, Obs: o, OpKey: op.OpKey()}
+			multi := &exec.MultiAggOp{Plans: op.Group, Obs: o, Pred: op.Pred()}
 			outs, err := multi.Execute(rtm, bind)
 			if err != nil {
 				return nil, fmt.Errorf("core: %s failed: %w", desc, err)
@@ -194,7 +203,7 @@ func ExecuteObs(pp *PhysPlan, rtm rt.Runtime, inputs map[string]*block.Matrix, o
 		}
 		fused := &exec.FusedOp{Plan: op.Plan, P: op.P, Q: op.Q, R: op.R,
 			Strategy: op.Strategy, Balance: op.Balance, NoMask: op.NoMask,
-			Obs: o, OpKey: op.OpKey()}
+			Obs: o, Pred: op.Pred()}
 		out, err := fused.Execute(rtm, bind)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s failed: %w", desc, err)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"fuseme/internal/core"
 	"fuseme/internal/dag"
 	"fuseme/internal/matrix"
+	"fuseme/internal/obs"
 	"fuseme/internal/ref"
 	"fuseme/internal/workloads"
 )
@@ -367,5 +369,65 @@ func TestMultiAggNotGroupedWhenUnrelated(t *testing.T) {
 		if len(op.Group) > 0 {
 			t.Fatal("disjoint aggregations were grouped")
 		}
+	}
+}
+
+// TestRunObsStageRecordsCarryPredictions: with only a flight recorder
+// attached (no calibration aggregate), every stage record carries its
+// operator's compile-time prediction, and every cuboid operator's records
+// carry its (P,Q,R).
+func TestRunObsStageRecordsCarryPredictions(t *testing.T) {
+	const users, items, k = 96, 80, 8
+	inputs := map[string]*block.Matrix{
+		"X": block.RandomSparse(users, items, 16, 0.05, 1, 5, 1),
+		"U": block.RandomDense(k, items, 16, 0.5, 1.5, 2),
+		"V": block.RandomDense(users, k, 16, 0.5, 1.5, 3),
+	}
+	g := workloads.GNMF(users, items, k, inputs["X"].Density())
+	c := testCluster(16)
+	pp, err := core.FuseME{}.Compile(g, c.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := map[string]obs.StagePred{}
+	for _, op := range pp.Ops {
+		preds[op.Pred().Op] = op.Pred()
+	}
+
+	var buf bytes.Buffer
+	o := &obs.Obs{Flight: obs.NewFlightRecorder(&buf)}
+	if _, _, err := core.RunObs(core.FuseME{}, g, c, inputs, o); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Flight.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := obs.ReadFlightRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("no stage records")
+	}
+	cuboid := 0
+	for _, r := range recs {
+		want, ok := preds[r.Op]
+		if !ok {
+			t.Errorf("%s: operator %q is not in the plan", r.Stage, r.Op)
+			continue
+		}
+		if r.PredNetBytes == 0 && r.PredComFlops == 0 {
+			t.Errorf("%s: zero prediction", r.Stage)
+		}
+		if r.Kind != want.Kind || r.P != want.P || r.Q != want.Q || r.R != want.R ||
+			r.PredNetBytes != want.NetBytes || r.PredComFlops != want.ComFlops || r.PredMemBytes != want.MemBytes {
+			t.Errorf("%s: record %+v does not carry prediction %+v", r.Stage, r, want)
+		}
+		if want.P > 0 {
+			cuboid++
+		}
+	}
+	if cuboid == 0 {
+		t.Error("no cuboid operator ran a stage")
 	}
 }

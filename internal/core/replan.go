@@ -37,8 +37,9 @@ type Replanner struct {
 	// AllowInexact permits swaps that change accumulation order (full
 	// (P,Q,R) re-pick including aggregation-rooted operators).
 	AllowInexact bool
-	// Obs supplies the prediction/measurement join the divergence check
-	// reads and receives the fuseme_replan_* metrics. Required.
+	// Obs supplies the calibration aggregate whose per-operator window the
+	// divergence check drains, and receives the fuseme_replan_* metrics.
+	// Required.
 	Obs *obs.Obs
 	// Learn, when non-nil, supplies learned bandwidths: its store is
 	// consulted under its key before each re-cost.
@@ -48,8 +49,6 @@ type Replanner struct {
 	Checks         int     // divergence checks performed
 	Replans        int     // checks that swapped at least one operator
 	LastDivergence float64 // divergence ratio at the last check
-
-	lastMeasIdx int // measurements consumed by previous checks
 }
 
 // threshold resolves the effective trigger ratio.
@@ -61,44 +60,21 @@ func (r *Replanner) threshold() float64 {
 }
 
 // Divergence computes the prediction error over the stages measured since
-// the last check: per operator, measured wall seconds are summed and
-// compared against the Eq. 2 predicted seconds under the configured cluster
-// constants; the ratio is Σ|measured − predicted| / Σ predicted. Zero when
-// nothing was measured (or nothing had a prediction).
+// the last check by draining the calibration aggregate's per-operator
+// window: each operator's measured wall seconds (summed in arrival order)
+// are compared against its Eq. 2 predicted seconds under the configured
+// cluster constants; the ratio is Σ|measured − predicted| / Σ predicted,
+// summed over operators in first-seen order. Zero when nothing was measured
+// (or nothing had a prediction).
 func (r *Replanner) Divergence(cc cluster.Config) float64 {
-	if r.Obs == nil || r.Obs.Calib == nil {
+	if r.Obs == nil {
 		return 0
 	}
-	meas := r.Obs.Calib.Measurements()
-	if r.lastMeasIdx > len(meas) {
-		r.lastMeasIdx = len(meas) // calibration was reset under us
-	}
-	window := meas[r.lastMeasIdx:]
-	r.lastMeasIdx = len(meas)
-	if len(window) == 0 {
-		return 0
-	}
-	wallByOp := map[string]float64{}
-	for _, m := range window {
-		wallByOp[m.Op] += m.WallSeconds
-	}
-	n := float64(cc.Nodes)
-	if n <= 0 {
-		n = 1
-	}
+	m := obs.ClusterModel{Nodes: cc.Nodes, NetBandwidth: cc.NetBandwidth,
+		CompBandwidth: cc.EffectiveCompBandwidth()}
 	var errSec, predSec float64
-	for op, wall := range wallByOp {
-		pred, ok := r.Obs.Prediction(op)
-		if !ok {
-			continue
-		}
-		var netSec, comSec float64
-		if cc.NetBandwidth > 0 {
-			netSec = float64(pred.NetBytes) / (n * cc.NetBandwidth)
-		}
-		if bw := cc.EffectiveCompBandwidth(); bw > 0 {
-			comSec = float64(pred.ComFlops) / (n * bw)
-		}
+	for _, w := range r.Obs.Calib.DrainWindow() {
+		netSec, comSec := m.Seconds(w.PredNetBytes, w.PredComFlops)
 		p := netSec
 		if comSec > p {
 			p = comSec
@@ -107,7 +83,7 @@ func (r *Replanner) Divergence(cc cluster.Config) float64 {
 			continue
 		}
 		predSec += p
-		d := wall - p
+		d := w.WallSeconds - p
 		if d < 0 {
 			d = -d
 		}

@@ -26,9 +26,8 @@ func netBoundLearner(cc cluster.Config, netBW float64) *obs.Learner {
 	store := obs.NewCalibStore()
 	key := obs.CalibKey{Workers: cc.Nodes, BlockSize: cc.BlockSize, KernelThreads: cc.KernelThreads}
 	model := obs.ClusterModel{Nodes: cc.Nodes, NetBandwidth: cc.NetBandwidth, CompBandwidth: cc.EffectiveCompBandwidth()}
-	pred := obs.StagePred{Op: "seed", NetBytes: 1 << 30, ComFlops: 1}
-	meas := obs.StageMeas{Op: "seed", ConsolidationBytes: int64(netBW * float64(cc.Nodes)), WallSeconds: 1}
-	store.Observe(key, model, pred, meas)
+	store.Observe(key, model, obs.FlightRecord{Op: "seed", PredNetBytes: 1 << 30, PredComFlops: 1,
+		MeasConsolidationBytes: int64(netBW * float64(cc.Nodes)), MeasWallSeconds: 1})
 	return &obs.Learner{Store: store, Key: key, Model: model}
 }
 
@@ -48,8 +47,10 @@ func TestReplannerDivergenceWindow(t *testing.T) {
 	cc := replanCluster()
 
 	// Predicted: 2e9 bytes over 2 nodes at 1e9 B/s = 1s (net-bound).
-	o.Predict(obs.StagePred{Op: "CFO mul#1", NetBytes: 2e9, ComFlops: 1})
-	o.Measure(obs.StageMeas{Op: "CFO mul#1", WallSeconds: 3})
+	stage := func(wall float64) obs.FlightRecord {
+		return obs.FlightRecord{Op: "CFO mul#1", PredNetBytes: 2e9, PredComFlops: 1, MeasWallSeconds: wall}
+	}
+	o.RecordStage(stage(3), nil)
 	if div := r.Divergence(cc); div < 1.99 || div > 2.01 {
 		t.Errorf("Divergence = %g, want 2.0 (|3s - 1s| / 1s)", div)
 	}
@@ -59,7 +60,7 @@ func TestReplannerDivergenceWindow(t *testing.T) {
 		t.Errorf("second Divergence = %g, want 0 (window consumed)", div)
 	}
 	// New measurements open a new window.
-	o.Measure(obs.StageMeas{Op: "CFO mul#1", WallSeconds: 1.5})
+	o.RecordStage(stage(1.5), nil)
 	if div := r.Divergence(cc); div < 0.49 || div > 0.51 {
 		t.Errorf("third Divergence = %g, want 0.5", div)
 	}

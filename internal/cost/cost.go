@@ -109,6 +109,20 @@ func (m Model) Cost(e Estimates, p, q, r int) float64 {
 	return com
 }
 
+// Seconds is Eq. 2's two terms for concrete estimates: netBytes/(N·B̂n) and
+// comFlops/(N·B̂c), each zero when N or its bandwidth is unset. Cost is the
+// search's symbolic counterpart.
+func (m Model) Seconds(netBytes, comFlops int64) (netSec, comSec float64) {
+	n := float64(m.Nodes)
+	if n > 0 && m.NetBW > 0 {
+		netSec = float64(netBytes) / (n * m.NetBW)
+	}
+	if n > 0 && m.CompBW > 0 {
+		comSec = float64(comFlops) / (n * m.CompBW)
+	}
+	return netSec, comSec
+}
+
 // MemOK reports whether the candidate fits the per-task budget.
 func (m Model) MemOK(e Estimates, p, q, r int) bool {
 	return e.MemBytes.Eval(p, q, r) <= float64(m.TaskMemBytes)
@@ -140,13 +154,7 @@ func (m Model) Breakdown(e Estimates, p, q, r int) Breakdown {
 		ComFlops: int64(e.ComFlops.Eval(p, q, r)),
 		MemBytes: int64(e.MemBytes.Eval(p, q, r)),
 	}
-	n := float64(m.Nodes)
-	if n > 0 && m.NetBW > 0 {
-		b.NetSeconds = float64(b.NetBytes) / (n * m.NetBW)
-	}
-	if n > 0 && m.CompBW > 0 {
-		b.ComSeconds = float64(b.ComFlops) / (n * m.CompBW)
-	}
+	b.NetSeconds, b.ComSeconds = m.Seconds(b.NetBytes, b.ComFlops)
 	b.Seconds = b.NetSeconds
 	if b.ComSeconds > b.Seconds {
 		b.Seconds = b.ComSeconds

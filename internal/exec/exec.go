@@ -73,17 +73,19 @@ type FusedOp struct {
 	// Obs receives stage/task spans, metrics and calibration measurements
 	// from this operator's execution; nil disables all instrumentation.
 	Obs *obs.Obs
-	// OpKey identifies the operator in calibration reports, joining stage
-	// measurements to planner predictions. Defaults to "root-label#root-id".
-	OpKey string
+	// Pred is the operator's compile-time cost prediction, stamped on every
+	// stage record the operator runs. Pred.Op names the operator in
+	// calibration reports and defaults to "root-label#root-id".
+	Pred obs.StagePred
 }
 
-// opKey returns the calibration join key for this operator.
-func (op *FusedOp) opKey() string {
-	if op.OpKey != "" {
-		return op.OpKey
+// pred returns the prediction this operator's stage records carry.
+func (op *FusedOp) pred() obs.StagePred {
+	p := op.Pred
+	if p.Op == "" {
+		p.Op = fmt.Sprintf("%s#%d", op.Plan.Root.Label(), op.Plan.Root.ID)
 	}
-	return fmt.Sprintf("%s#%d", op.Plan.Root.Label(), op.Plan.Root.ID)
+	return p
 }
 
 // Execute runs the fused operator on the runtime — the in-process simulated

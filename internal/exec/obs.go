@@ -14,11 +14,12 @@ import (
 // runObservedStage dispatches st through the runtime with observability
 // wrapped around it: a stage span carrying the cuboid attributes, per-task
 // spans and latency/queue-wait metrics when per-task instrumentation is on,
-// and a stats-diff calibration measurement joined to the operator key.
+// and the stage's flight record — the operator's prediction next to the
+// stage's stats diff — handed to Obs.RecordStage for every other sink.
 //
 // The disabled path is one nil check and a plain rt.RunStage — that is the
 // fast path BenchmarkTraceOverhead guards.
-func runObservedStage(rtm rt.Runtime, o *obs.Obs, opKey string, st *rt.Stage) error {
+func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.StagePred, st *rt.Stage) error {
 	if !o.Enabled() {
 		return rt.RunStage(rtm, st)
 	}
@@ -38,7 +39,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, opKey string, st *rt.Stage) er
 		st.Fn = wrapTaskFn(o, st.Fn, time.Now(), rtm.Config().Nodes)
 	}
 	if o.QLog != nil {
-		o.Emit(obs.Event{Type: obs.EvStageStart, Stage: st.Name, Op: opKey, Tasks: st.NumTasks})
+		o.Emit(obs.Event{Type: obs.EvStageStart, Stage: st.Name, Op: pred.Op, Tasks: st.NumTasks})
 	}
 
 	// Stats-diff measurement: the runtime folds every task's metering (and,
@@ -55,69 +56,9 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, opKey string, st *rt.Stage) er
 	err := rt.RunStage(rtm, st)
 	after := rtm.Stats()
 
-	meas := obs.StageMeas{
-		Stage:              st.Name,
-		Op:                 opKey,
-		Tasks:              st.NumTasks,
-		ConsolidationBytes: after.ConsolidationBytes - before.ConsolidationBytes,
-		AggregationBytes:   after.AggregationBytes - before.AggregationBytes,
-		ExtraWireBytes:     after.ExtraWireBytes - before.ExtraWireBytes,
-		Flops:              after.Flops - before.Flops,
-		PeakTaskMemBytes:   after.PeakTaskMemBytes, // running max, not a delta
-		WallSeconds:        after.SimSeconds - before.SimSeconds,
-	}
-	o.Measure(meas)
-	pred, _ := o.Prediction(opKey)
-	o.LearnStage(pred, meas)
-
-	o.Counter(obs.MStagesTotal).Inc()
-	o.Counter(obs.MConsolidationBytes).Add(meas.ConsolidationBytes)
-	o.Counter(obs.MAggregationBytes).Add(meas.AggregationBytes)
-	o.Counter(obs.MExtraBytes).Add(meas.ExtraWireBytes)
-	o.Counter(obs.MFlopsTotal).Add(meas.Flops)
-	o.Counter(obs.MCacheHits).Add(after.CacheHits - before.CacheHits)
-	o.Counter(obs.MCacheMisses).Add(after.CacheMisses - before.CacheMisses)
-	o.Counter(obs.MCacheEvictions).Add(after.CacheEvictions - before.CacheEvictions)
-	o.Gauge(obs.MCacheSavedBytes).Set(float64(after.CacheSavedBytes))
-
-	// Pipelined-execution diff: both backends fold their prefetch
-	// admissions and steals into Stats, so the counters are fed from the
-	// diff alone. Phase seconds feed the flight record's overlap ratio below.
-	pfBlocks := after.PrefetchBlocks - before.PrefetchBlocks
-	pfBytes := after.PrefetchBytes - before.PrefetchBytes
-	steals := after.StealTasks - before.StealTasks
-	o.Counter(obs.MPrefetchBlocks).Add(pfBlocks)
-	o.Counter(obs.MPrefetchBytes).Add(pfBytes)
-	o.Counter(obs.MStealTasks).Add(steals)
-	dFetch := after.FetchSeconds - before.FetchSeconds
-	dPrefetch := after.PrefetchSeconds - before.PrefetchSeconds
-	dTask := after.TaskSeconds - before.TaskSeconds
-	overlap := 0.0
-	if dFetch+dPrefetch > 0 {
-		overlap = dPrefetch / (dPrefetch + dFetch)
-	}
-
-	// Straggler/skew: fold the stage's per-task samples into the detector,
-	// publish the stage imbalance and refreshed per-worker slowdown scores.
-	var skew *obs.StageSkew
-	if o.Skew != nil {
-		sk := o.Skew.FinishStage(st.Name)
-		if sk.Tasks > 0 {
-			skew = &sk
-			o.Gauge(obs.MStageSkew).Set(sk.Imbalance)
-			for worker, score := range o.Skew.Slowdowns() {
-				o.Gauge(obs.WorkerSlowdownGauge(worker)).Set(score)
-			}
-		}
-	}
-
-	// Flight recorder: one black-box line per stage execution, joining the
-	// operator's prediction (when the planner recorded one) to this stage's
-	// stats diff. The stage_end journal event embeds the identical record, so
-	// query introspection and the flight file can never disagree.
 	rec := obs.FlightRecord{
 		Stage: st.Name,
-		Op:    opKey,
+		Op:    pred.Op,
 		Kind:  pred.Kind,
 		P:     pred.P,
 		Q:     pred.Q,
@@ -128,33 +69,32 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, opKey string, st *rt.Stage) er
 		PredComFlops: pred.ComFlops,
 		PredMemBytes: pred.MemBytes,
 
-		MeasWallSeconds:        meas.WallSeconds,
-		MeasConsolidationBytes: meas.ConsolidationBytes,
-		MeasAggregationBytes:   meas.AggregationBytes,
-		MeasExtraWireBytes:     meas.ExtraWireBytes,
-		MeasFlops:              meas.Flops,
-		MeasPeakTaskMemBytes:   meas.PeakTaskMemBytes,
+		MeasWallSeconds:        after.SimSeconds - before.SimSeconds,
+		MeasConsolidationBytes: after.ConsolidationBytes - before.ConsolidationBytes,
+		MeasAggregationBytes:   after.AggregationBytes - before.AggregationBytes,
+		MeasExtraWireBytes:     after.ExtraWireBytes - before.ExtraWireBytes,
+		MeasFlops:              after.Flops - before.Flops,
+		MeasPeakTaskMemBytes:   after.PeakTaskMemBytes, // running max, not a delta
 		CacheHits:              after.CacheHits - before.CacheHits,
 		CacheMisses:            after.CacheMisses - before.CacheMisses,
+		CacheEvictions:         after.CacheEvictions - before.CacheEvictions,
 		CacheSavedBytes:        after.CacheSavedBytes - before.CacheSavedBytes,
 
-		PrefetchBlocks:      pfBlocks,
-		PrefetchBytes:       pfBytes,
-		StealTasks:          steals,
-		MeasFetchSeconds:    dFetch,
-		MeasPrefetchSeconds: dPrefetch,
-		MeasTaskSeconds:     dTask,
-		OverlapRatio:        overlap,
+		PrefetchBlocks:      after.PrefetchBlocks - before.PrefetchBlocks,
+		PrefetchBytes:       after.PrefetchBytes - before.PrefetchBytes,
+		StealTasks:          after.StealTasks - before.StealTasks,
+		MeasFetchSeconds:    after.FetchSeconds - before.FetchSeconds,
+		MeasPrefetchSeconds: after.PrefetchSeconds - before.PrefetchSeconds,
+		MeasTaskSeconds:     after.TaskSeconds - before.TaskSeconds,
 	}
-	o.RecordFlight(rec)
-	if o.QLog != nil {
-		end := obs.Event{Type: obs.EvStageEnd, Stage: st.Name, Op: opKey,
-			Tasks: st.NumTasks, Seconds: meas.WallSeconds, Flight: &rec, Skew: skew}
-		if err != nil {
-			end.Error = err.Error()
-		}
-		o.Emit(end)
+	if wire := rec.MeasPrefetchSeconds + rec.MeasFetchSeconds; wire > 0 {
+		rec.OverlapRatio = rec.MeasPrefetchSeconds / wire
 	}
+	o.RecordStage(rec, err)
+
+	// Series that are not per-stage deltas keep their own sources: the
+	// cumulative saved-bytes gauge and the kernel-pool utilisation.
+	o.Gauge(obs.MCacheSavedBytes).Set(float64(after.CacheSavedBytes))
 	if hasPool {
 		pool := pooled.KernelPool()
 		poolAfter := pool.Stats()
@@ -165,10 +105,10 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, opKey string, st *rt.Stage) er
 	}
 
 	if span != nil {
-		span.Arg("consolidation_bytes", meas.ConsolidationBytes).
-			Arg("aggregation_bytes", meas.AggregationBytes).
-			Arg("flops", meas.Flops).
-			Arg("stage_seconds", meas.WallSeconds)
+		span.Arg("consolidation_bytes", rec.MeasConsolidationBytes).
+			Arg("aggregation_bytes", rec.MeasAggregationBytes).
+			Arg("flops", rec.MeasFlops).
+			Arg("stage_seconds", rec.MeasWallSeconds)
 		if err != nil {
 			span.Arg("error", err.Error())
 		}

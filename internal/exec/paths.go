@@ -71,7 +71,7 @@ func dispatch(rtm rt.Runtime, name string, ctx *stageCtx, src blockSource, route
 			gen:    gen,
 		}
 	}
-	err := runObservedStage(rtm, ctx.op.Obs, ctx.op.opKey(), &rt.Stage{
+	err := runObservedStage(rtm, ctx.op.Obs, ctx.op.pred(), &rt.Stage{
 		Name:     name,
 		NumTasks: ctx.sp.NumTasks,
 		Fn: func(task *cluster.Task) error {

@@ -8,9 +8,9 @@ import (
 )
 
 // StagePred is one fused operator's compile-time cost prediction: the
-// optimizer's NetEst/ComEst/MemEst at the chosen (P,Q,R). Keyed by Op, the
-// operator's display key; repeated predictions for the same key (iterative
-// workloads re-planning the same operator) overwrite.
+// optimizer's NetEst/ComEst/MemEst at the chosen (P,Q,R). It travels with the
+// operator into the executor, which stamps it on every stage record the
+// operator runs; Op is the operator's display key, e.g. "CFO mul#12".
 type StagePred struct {
 	Op       string // operator key, e.g. "CFO mul#12"
 	Kind     string // CFO, RFO, BFO, CuboidMM, Map, MultiAgg, ...
@@ -20,123 +20,112 @@ type StagePred struct {
 	MemBytes int64 // predicted per-task memory
 }
 
-// StageMeas is one executed stage's measurement. Several stages (and several
-// executions, in iterative workloads) may map to one operator key; the report
-// sums them.
-type StageMeas struct {
-	Stage              string // stage name, e.g. "partial:mul#12"
-	Op                 string // operator key joining to StagePred.Op
-	Tasks              int
-	ConsolidationBytes int64
-	AggregationBytes   int64
-	ExtraWireBytes     int64
-	Flops              int64
-	PeakTaskMemBytes   int64
-	WallSeconds        float64
-}
-
-// NetBytes is the measured traffic comparable to the predicted NetEst:
-// consolidation plus aggregation, excluding unmodelled extra wire bytes.
-func (m StageMeas) NetBytes() int64 { return m.ConsolidationBytes + m.AggregationBytes }
-
-// Calibration accumulates predictions and measurements across a run. Safe
-// for concurrent use; a nil *Calibration absorbs every call.
+// Calibration is the per-operator running aggregate of stage records: the
+// sums Report renders and the window Replanner.Divergence drains. It holds
+// one entry per distinct operator key however many stages run, so a
+// long-lived session's calibration state stays bounded. Safe for concurrent
+// use; a nil *Calibration absorbs every call.
 type Calibration struct {
 	mu    sync.Mutex
-	order []string             // operator keys in first-seen order
-	preds map[string]StagePred // by operator key
-	meas  []StageMeas
+	order []string          // operator keys in first-seen order
+	ops   map[string]*opAgg // by operator key
 }
 
-// NewCalibration returns an empty store.
+// opAgg is one operator's running aggregate. row carries the latest
+// prediction unscaled (Report scales it by the execution count) and the
+// summed measurements.
+type opAgg struct {
+	row      ReportRow
+	stages   map[string]bool // distinct stage names, to count executions
+	inWindow bool            // a stage ran since the last DrainWindow
+	wallWin  float64         // wall seconds since the last DrainWindow, in arrival order
+}
+
+// NewCalibration returns an empty aggregate.
 func NewCalibration() *Calibration {
-	return &Calibration{preds: map[string]StagePred{}}
+	return &Calibration{ops: map[string]*opAgg{}}
 }
 
-// Predict records (or refreshes) an operator's prediction.
-func (c *Calibration) Predict(p StagePred) {
+// Observe folds one stage record into its operator's aggregate.
+func (c *Calibration) Observe(rec FlightRecord) {
 	if c == nil {
 		return
-	}
-	c.mu.Lock()
-	if _, seen := c.preds[p.Op]; !seen {
-		c.order = append(c.order, p.Op)
-	}
-	c.preds[p.Op] = p
-	c.mu.Unlock()
-}
-
-// Measure records one stage execution.
-func (c *Calibration) Measure(m StageMeas) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.meas = append(c.meas, m)
-	c.mu.Unlock()
-}
-
-// Prediction returns the recorded prediction for an operator key.
-func (c *Calibration) Prediction(op string) (StagePred, bool) {
-	if c == nil {
-		return StagePred{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.preds[op]
-	return p, ok
-}
-
-// CalibrationFromFlight rebuilds a calibration store from flight-recorder
-// records, so Report can be produced offline from a -flight-out file — the
-// feedback loop that lets calibration consume real distributed measurements
-// instead of only the live session's.
-func CalibrationFromFlight(recs []FlightRecord) *Calibration {
-	c := NewCalibration()
-	for _, r := range recs {
-		if _, seen := c.preds[r.Op]; !seen {
-			c.Predict(StagePred{
-				Op: r.Op, Kind: r.Kind, P: r.P, Q: r.Q, R: r.R,
-				NetBytes: r.PredNetBytes, ComFlops: r.PredComFlops, MemBytes: r.PredMemBytes,
-			})
-		}
-		c.Measure(StageMeas{
-			Stage:              r.Stage,
-			Op:                 r.Op,
-			Tasks:              r.Tasks,
-			ConsolidationBytes: r.MeasConsolidationBytes,
-			AggregationBytes:   r.MeasAggregationBytes,
-			ExtraWireBytes:     r.MeasExtraWireBytes,
-			Flops:              r.MeasFlops,
-			PeakTaskMemBytes:   r.MeasPeakTaskMemBytes,
-			WallSeconds:        r.MeasWallSeconds,
-		})
+	a := c.ops[rec.Op]
+	if a == nil {
+		a = &opAgg{stages: map[string]bool{}}
+		c.ops[rec.Op] = a
+		c.order = append(c.order, rec.Op)
 	}
-	return c
+	row := &a.row
+	row.Op, row.Kind, row.P, row.Q, row.R = rec.Op, rec.Kind, rec.P, rec.Q, rec.R
+	row.PredNetBytes, row.PredComFlops, row.PredMemBytes = rec.PredNetBytes, rec.PredComFlops, rec.PredMemBytes
+	row.Stages++
+	row.Tasks += rec.Tasks
+	row.MeasNetBytes += rec.MeasNetBytes()
+	row.ExtraWireBytes += rec.MeasExtraWireBytes
+	row.MeasFlops += rec.MeasFlops
+	row.MeasWallSeconds += rec.MeasWallSeconds
+	if rec.MeasPeakTaskMemBytes > row.MeasPeakMem {
+		row.MeasPeakMem = rec.MeasPeakTaskMemBytes
+	}
+	a.stages[rec.Stage] = true
+	a.inWindow = true
+	a.wallWin += rec.MeasWallSeconds
 }
 
-// Reset discards accumulated records.
+// OpWindow is one operator's share of a DrainWindow: its latest prediction
+// and the wall seconds its stages measured since the previous drain.
+type OpWindow struct {
+	PredNetBytes int64
+	PredComFlops int64
+	WallSeconds  float64
+}
+
+// DrainWindow returns every operator that ran a stage since the previous
+// drain, in first-seen order, and starts a new window. The report's sums are
+// unaffected.
+func (c *Calibration) DrainWindow() []OpWindow {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []OpWindow
+	for _, key := range c.order {
+		a := c.ops[key]
+		if !a.inWindow {
+			continue
+		}
+		out = append(out, OpWindow{PredNetBytes: a.row.PredNetBytes,
+			PredComFlops: a.row.PredComFlops, WallSeconds: a.wallWin})
+		a.inWindow, a.wallWin = false, 0
+	}
+	return out
+}
+
+// Reset discards the aggregate.
 func (c *Calibration) Reset() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	c.order = nil
-	c.preds = map[string]StagePred{}
-	c.meas = nil
+	c.ops = map[string]*opAgg{}
 	c.mu.Unlock()
 }
 
-// Measurements returns a copy of the recorded stage measurements.
-func (c *Calibration) Measurements() []StageMeas {
-	if c == nil {
-		return nil
+// ReportFromFlight replays flight-recorder records (a -flight-out file) into
+// a fresh aggregate and reports it: the offline report is produced by the
+// same code as a live session's.
+func ReportFromFlight(recs []FlightRecord, m ClusterModel) *Report {
+	c := NewCalibration()
+	for _, r := range recs {
+		c.Observe(r)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]StageMeas, len(c.meas))
-	copy(out, c.meas)
-	return out
+	return c.Report(m)
 }
 
 // ClusterModel carries the configured Eq. 2 constants the report compares
@@ -145,6 +134,34 @@ type ClusterModel struct {
 	Nodes         int
 	NetBandwidth  float64 // configured B̂n, bytes/s per node
 	CompBandwidth float64 // configured B̂c, flop/s per node
+}
+
+// nodes is N, with an unset node count read as one node.
+func (m ClusterModel) nodes() float64 {
+	if m.Nodes <= 0 {
+		return 1
+	}
+	return float64(m.Nodes)
+}
+
+// Seconds is Eq. 2's two terms for predicted traffic and work under the
+// configured constants: netBytes/(N·B̂n) and comFlops/(N·B̂c), each zero when
+// its bandwidth is unset.
+func (m ClusterModel) Seconds(netBytes, comFlops int64) (netSec, comSec float64) {
+	n := m.nodes()
+	if m.NetBandwidth > 0 {
+		netSec = float64(netBytes) / (n * m.NetBandwidth)
+	}
+	if m.CompBandwidth > 0 {
+		comSec = float64(comFlops) / (n * m.CompBandwidth)
+	}
+	return netSec, comSec
+}
+
+// effective back-solves a per-node bandwidth from a measured amount and the
+// wall seconds it took: x/(N·wall). wall must be positive.
+func (m ClusterModel) effective(x int64, wall float64) float64 {
+	return float64(x) / (m.nodes() * wall)
 }
 
 // ReportRow joins one operator's prediction with its summed measurements.
@@ -186,63 +203,27 @@ type Report struct {
 	TaskLatency *HistogramSnapshot
 }
 
-// Report joins predictions and measurements. Operators appear in first-seen
-// order; stages without a prediction (in-process bookkeeping stages) group
-// under their own key with zero predictions.
+// Report renders the aggregate. Operators appear in first-seen order;
+// stages without a prediction (in-process bookkeeping stages) group under
+// their own key with zero predictions.
 func (c *Calibration) Report(m ClusterModel) *Report {
 	rep := &Report{Model: m}
 	if c == nil {
 		return rep
 	}
 	c.mu.Lock()
-	order := append([]string(nil), c.order...)
-	preds := make(map[string]StagePred, len(c.preds))
-	for k, v := range c.preds {
-		preds[k] = v
+	rows := make([]ReportRow, 0, len(c.order))
+	for _, key := range c.order {
+		a := c.ops[key]
+		row := a.row
+		// Executions ≈ total stage records / distinct stage names.
+		row.Executions = row.Stages / len(a.stages)
+		rows = append(rows, row)
 	}
-	meas := append([]StageMeas(nil), c.meas...)
 	c.mu.Unlock()
 
-	byOp := map[string]*ReportRow{}
-	for _, key := range order {
-		p := preds[key]
-		byOp[key] = &ReportRow{Op: key, Kind: p.Kind, P: p.P, Q: p.Q, R: p.R,
-			PredNetBytes: p.NetBytes, PredComFlops: p.ComFlops, PredMemBytes: p.MemBytes}
-	}
-	perExec := map[string]map[string]bool{} // op → distinct first-stage names, to count executions
-	for _, s := range meas {
-		row := byOp[s.Op]
-		if row == nil {
-			row = &ReportRow{Op: s.Op}
-			byOp[s.Op] = row
-			order = append(order, s.Op)
-		}
-		row.Stages++
-		row.Tasks += s.Tasks
-		row.MeasNetBytes += s.NetBytes()
-		row.ExtraWireBytes += s.ExtraWireBytes
-		row.MeasFlops += s.Flops
-		row.MeasWallSeconds += s.WallSeconds
-		if s.PeakTaskMemBytes > row.MeasPeakMem {
-			row.MeasPeakMem = s.PeakTaskMemBytes
-		}
-		if perExec[s.Op] == nil {
-			perExec[s.Op] = map[string]bool{}
-		}
-		perExec[s.Op][s.Stage] = true
-	}
-
-	n := float64(m.Nodes)
-	if n <= 0 {
-		n = 1
-	}
 	var netBytes, netWall, comFlops, comWall float64
-	for _, key := range order {
-		row := byOp[key]
-		if stages := perExec[key]; len(stages) > 0 {
-			// Executions ≈ total stage records / distinct stage names.
-			row.Executions = row.Stages / len(stages)
-		}
+	for _, row := range rows {
 		execs := row.Executions
 		if execs < 1 {
 			execs = 1
@@ -251,20 +232,14 @@ func (c *Calibration) Report(m ClusterModel) *Report {
 		// pred/meas columns compare like with like.
 		row.PredNetBytes *= int64(execs)
 		row.PredComFlops *= int64(execs)
-		var netSec, comSec float64
-		if m.NetBandwidth > 0 {
-			netSec = float64(row.PredNetBytes) / (n * m.NetBandwidth)
-		}
-		if m.CompBandwidth > 0 {
-			comSec = float64(row.PredComFlops) / (n * m.CompBandwidth)
-		}
+		netSec, comSec := m.Seconds(row.PredNetBytes, row.PredComFlops)
 		row.PredSeconds = netSec
 		if comSec > netSec {
 			row.PredSeconds = comSec
 		}
 		if row.MeasWallSeconds > 0 {
-			row.EffNetBW = float64(row.MeasNetBytes) / (n * row.MeasWallSeconds)
-			row.EffCompBW = float64(row.MeasFlops) / (n * row.MeasWallSeconds)
+			row.EffNetBW = m.effective(row.MeasNetBytes, row.MeasWallSeconds)
+			row.EffCompBW = m.effective(row.MeasFlops, row.MeasWallSeconds)
 			// Eq. 2 takes the max of the two terms, so the measured wall time
 			// of a stage reflects whichever resource bound it: attribute the
 			// row to that class when back-solving.
@@ -276,8 +251,9 @@ func (c *Calibration) Report(m ClusterModel) *Report {
 				comWall += row.MeasWallSeconds
 			}
 		}
-		rep.Rows = append(rep.Rows, *row)
+		rep.Rows = append(rep.Rows, row)
 	}
+	n := m.nodes()
 	if netWall > 0 {
 		rep.EffNetBW = netBytes / (n * netWall)
 	}

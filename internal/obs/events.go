@@ -20,7 +20,7 @@ const (
 	EvReceived   EventType = "received"    // submission arrived (serve)
 	EvQueued     EventType = "queued"      // waiting for admission; Cause says on what
 	EvAdmitted   EventType = "admitted"    // admission granted; Seconds is the wait
-	EvPlanned    EventType = "planned"     // plan chosen; Plan/PredSeconds describe it
+	EvPlanned    EventType = "planned"     // plan chosen; Plan/PredSeconds/CompileSeconds describe it
 	EvReplanned  EventType = "replanned"   // feedback loop swapped the plan mid-flight
 	EvStageStart EventType = "stage_start" // one distributed stage began
 	EvStageEnd   EventType = "stage_end"   // stage finished; Flight carries pred vs meas
@@ -51,6 +51,9 @@ type Event struct {
 	Operators    int     `json:"operators,omitempty"`
 	PredSeconds  float64 `json:"pred_seconds,omitempty"` // Eq. 2 total across operators
 	Divergence   float64 `json:"divergence,omitempty"`   // replan trigger ratio
+	// CompileSeconds is the wall time spent producing the plan: parse, CFG
+	// and the (P,Q,R) search, or the lookup on a plan-cache hit.
+	CompileSeconds float64 `json:"compile_seconds,omitempty"`
 
 	// Stages (stage_start/stage_end).
 	Stage  string        `json:"stage,omitempty"`

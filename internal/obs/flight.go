@@ -12,8 +12,9 @@ import (
 // FlightRecord is one executed stage's black-box entry: the planner's
 // prediction for the owning operator (chosen (P,Q,R) and the Eq. 2–5 cost
 // terms) next to what actually happened when the stage ran. One record is
-// written per stage execution, so iterative workloads produce one line per
-// stage per iteration.
+// built per stage execution, so iterative workloads produce one line per
+// stage per iteration. It is the only per-stage measurement: Obs.RecordStage
+// projects it into every observability sink.
 type FlightRecord struct {
 	Stage string `json:"stage"`
 	Op    string `json:"op"`
@@ -38,6 +39,7 @@ type FlightRecord struct {
 	MeasPeakTaskMemBytes   int64   `json:"meas_peak_task_mem_bytes"`
 	CacheHits              int64   `json:"cache_hits"`
 	CacheMisses            int64   `json:"cache_misses"`
+	CacheEvictions         int64   `json:"cache_evictions"`
 	CacheSavedBytes        int64   `json:"cache_saved_bytes"`
 
 	// Pipelined execution: how much of the stage's wire time ran hidden
@@ -54,6 +56,12 @@ type FlightRecord struct {
 	MeasPrefetchSeconds float64 `json:"meas_prefetch_seconds,omitempty"`
 	MeasTaskSeconds     float64 `json:"meas_task_seconds,omitempty"`
 	OverlapRatio        float64 `json:"overlap_ratio,omitempty"`
+}
+
+// MeasNetBytes is the measured traffic comparable to the predicted NetEst:
+// consolidation plus aggregation, excluding unmodelled extra wire bytes.
+func (r FlightRecord) MeasNetBytes() int64 {
+	return r.MeasConsolidationBytes + r.MeasAggregationBytes
 }
 
 // FlightRecorder appends stage records to a writer as JSON lines. Safe for

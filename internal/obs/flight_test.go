@@ -59,26 +59,18 @@ func TestFlightRecorderNilSafe(t *testing.T) {
 	}
 }
 
-func TestCalibrationFromFlight(t *testing.T) {
+func TestReportFromFlight(t *testing.T) {
 	recs := []FlightRecord{sampleRecord("cuboid:mul#3"), sampleRecord("cuboid:mul#3")}
-	c := CalibrationFromFlight(recs)
-	p, ok := c.Prediction("CFO mul#3")
-	if !ok {
-		t.Fatal("prediction not rebuilt from flight records")
-	}
-	if p.P != 2 || p.Q != 2 || p.R != 1 || p.NetBytes != 1<<20 {
-		t.Fatalf("rebuilt prediction mismatch: %+v", p)
-	}
-	ms := c.Measurements()
-	if len(ms) != 2 {
-		t.Fatalf("rebuilt %d measurements, want 2", len(ms))
-	}
-	if ms[0].Op != "CFO mul#3" || ms[0].WallSeconds != 0.25 || ms[0].ConsolidationBytes != 900_000 {
-		t.Fatalf("rebuilt measurement mismatch: %+v", ms[0])
-	}
 	// Two executions of one stage collapse to one report row with runs=2.
-	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
+	rep := ReportFromFlight(recs, ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 1e10})
 	if len(rep.Rows) != 1 || rep.Rows[0].Executions != 2 {
 		t.Fatalf("report rows = %+v, want one row with 2 executions", rep.Rows)
+	}
+	row := rep.Rows[0]
+	if row.Op != "CFO mul#3" || row.P != 2 || row.Q != 2 || row.R != 1 || row.PredNetBytes != 2*(1<<20) {
+		t.Fatalf("replayed prediction mismatch: %+v", row)
+	}
+	if row.Stages != 2 || row.MeasWallSeconds != 2*0.25 || row.MeasNetBytes != 2*(900_000+120_000) {
+		t.Fatalf("replayed measurement mismatch: %+v", row)
 	}
 }

@@ -1,8 +1,16 @@
 // Package obs is the observability subsystem: a lightweight span/trace
 // recorder exporting Chrome trace_event JSON, a metrics registry with
-// Prometheus-text and JSON endpoints, and a cost-model calibration store that
-// joins the planner's NetEst/ComEst/MemEst predictions against measured
+// Prometheus-text and JSON endpoints, and a cost-model calibration aggregate
+// that joins the planner's NetEst/ComEst/MemEst predictions against measured
 // execution so effective cluster bandwidths can be back-solved.
+//
+// Every executed stage produces one FlightRecord carrying its operator's
+// prediction next to its measured stats diff. Obs.RecordStage fans that
+// record out to the flight file, the journal's stage_end event, the
+// calibration aggregate (Calibration), the calibration-store learner, the
+// replanner's divergence window and the per-stage Prometheus counters; an
+// offline report replays a flight file through the same aggregate
+// (ReportFromFlight).
 //
 // Everything is nil-safe by design: a nil *Obs (or a nil component inside a
 // non-nil Obs) turns every instrumentation call into a pointer check and an
@@ -76,49 +84,57 @@ func (o *Obs) Histogram(name string) *Histogram {
 	return o.Metrics.Histogram(name)
 }
 
-// Predict records a per-operator cost prediction for calibration.
-func (o *Obs) Predict(p StagePred) {
+// RecordStage fans one executed stage's record out to every attached sink:
+// the calibration aggregate, the calibration-store learner, the per-stage
+// Prometheus counters, the flight file, the skew detector's stage summary and
+// the journal's stage_end event (err, when non-nil, is the stage's failure).
+// It is the only consumer of the record the executor builds, so the sinks
+// cannot disagree.
+func (o *Obs) RecordStage(rec FlightRecord, err error) {
 	if o == nil {
 		return
 	}
-	o.Calib.Predict(p)
-}
-
-// Measure records a per-stage measurement for calibration.
-func (o *Obs) Measure(m StageMeas) {
-	if o == nil {
-		return
-	}
-	o.Calib.Measure(m)
-}
-
-// Prediction looks up the recorded prediction for an operator key.
-func (o *Obs) Prediction(op string) (StagePred, bool) {
-	if o == nil {
-		return StagePred{}, false
-	}
-	return o.Calib.Prediction(op)
-}
-
-// LearnStage streams one completed stage's (prediction, measurement) pair
-// into the attached calibration-store learner, bumping the update counter
-// when a sample was folded in. A nil Obs or nil Learner absorbs the call.
-func (o *Obs) LearnStage(pred StagePred, meas StageMeas) {
-	if o == nil || o.Learn == nil {
-		return
-	}
-	if o.Learn.Observe(pred, meas) {
+	o.Calib.Observe(rec)
+	if o.Learn.Observe(rec) {
 		o.Counter(MCalibUpdates).Inc()
 		o.Gauge(MCalibGeneration).Set(float64(o.Learn.Store.Generation()))
 	}
-}
 
-// RecordFlight appends one stage record to the flight recorder.
-func (o *Obs) RecordFlight(rec FlightRecord) {
-	if o == nil {
-		return
-	}
+	o.Counter(MStagesTotal).Inc()
+	o.Counter(MConsolidationBytes).Add(rec.MeasConsolidationBytes)
+	o.Counter(MAggregationBytes).Add(rec.MeasAggregationBytes)
+	o.Counter(MExtraBytes).Add(rec.MeasExtraWireBytes)
+	o.Counter(MFlopsTotal).Add(rec.MeasFlops)
+	o.Counter(MCacheHits).Add(rec.CacheHits)
+	o.Counter(MCacheMisses).Add(rec.CacheMisses)
+	o.Counter(MCacheEvictions).Add(rec.CacheEvictions)
+	o.Counter(MPrefetchBlocks).Add(rec.PrefetchBlocks)
+	o.Counter(MPrefetchBytes).Add(rec.PrefetchBytes)
+	o.Counter(MStealTasks).Add(rec.StealTasks)
+
 	o.Flight.Record(rec)
+
+	// Straggler/skew: fold the stage's per-task samples into the detector,
+	// publish the stage imbalance and refreshed per-worker slowdown scores.
+	var skew *StageSkew
+	if o.Skew != nil {
+		sk := o.Skew.FinishStage(rec.Stage)
+		if sk.Tasks > 0 {
+			skew = &sk
+			o.Gauge(MStageSkew).Set(sk.Imbalance)
+			for worker, score := range o.Skew.Slowdowns() {
+				o.Gauge(WorkerSlowdownGauge(worker)).Set(score)
+			}
+		}
+	}
+	if o.QLog != nil {
+		end := Event{Type: EvStageEnd, Stage: rec.Stage, Op: rec.Op,
+			Tasks: rec.Tasks, Seconds: rec.MeasWallSeconds, Flight: &rec, Skew: skew}
+		if err != nil {
+			end.Error = err.Error()
+		}
+		o.QLog.Emit(end)
+	}
 }
 
 // Emit appends one event to the current query's journal log.

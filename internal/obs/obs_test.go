@@ -1,10 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -22,8 +26,7 @@ func TestNilSafety(t *testing.T) {
 	o.Counter("c").Inc()
 	o.Gauge("g").Set(1.5)
 	o.Histogram("h").Observe(0.1)
-	o.Predict(StagePred{Op: "a"})
-	o.Measure(StageMeas{Op: "a"})
+	o.RecordStage(FlightRecord{Op: "a"}, nil)
 	o.Reset()
 
 	var r *Recorder
@@ -33,9 +36,11 @@ func TestNilSafety(t *testing.T) {
 	r.Reset()
 
 	var c *Calibration
-	c.Predict(StagePred{})
-	c.Measure(StageMeas{})
+	c.Observe(FlightRecord{})
 	c.Reset()
+	if c.DrainWindow() != nil {
+		t.Fatal("nil calibration should hold nothing")
+	}
 	if got := c.Report(ClusterModel{Nodes: 4}); len(got.Rows) != 0 {
 		t.Fatal("nil calibration should report no rows")
 	}
@@ -201,20 +206,16 @@ func TestCalibrationReport(t *testing.T) {
 	model := ClusterModel{Nodes: 4, NetBandwidth: 125e6, CompBandwidth: 546e9}
 
 	// Net-bound operator: predicted net term 8e9/(4·125e6) = 16s dominates
-	// the comp term 4e9/(4·546e9) ≈ 0.0018s.
-	c.Predict(StagePred{Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 1,
-		NetBytes: 8e9, ComFlops: 4e9, MemBytes: 64 << 20})
-	// Comp-bound operator.
-	c.Predict(StagePred{Op: "CFO mul#2", Kind: "CFO", P: 4, Q: 1, R: 1,
-		NetBytes: 1e6, ComFlops: 8e12, MemBytes: 32 << 20})
-
-	// Measurements: mul#1 moved 4e9 bytes in 10s wall → eff B̂n = 4e9/(4·10) = 1e8.
-	c.Measure(StageMeas{Stage: "cuboid:mul#1", Op: "CFO mul#1", Tasks: 4,
-		ConsolidationBytes: 3e9, AggregationBytes: 1e9, Flops: 4e9,
-		PeakTaskMemBytes: 50 << 20, WallSeconds: 10})
-	// mul#2 did 8e12 flops in 5s wall → eff B̂c = 8e12/(4·5) = 4e11.
-	c.Measure(StageMeas{Stage: "cuboid:mul#2", Op: "CFO mul#2", Tasks: 4,
-		ConsolidationBytes: 1e6, Flops: 8e12, WallSeconds: 5})
+	// the comp term 4e9/(4·546e9) ≈ 0.0018s. It moved 4e9 bytes in 10s wall
+	// → eff B̂n = 4e9/(4·10) = 1e8.
+	c.Observe(FlightRecord{Stage: "cuboid:mul#1", Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 1, Tasks: 4,
+		PredNetBytes: 8e9, PredComFlops: 4e9, PredMemBytes: 64 << 20,
+		MeasConsolidationBytes: 3e9, MeasAggregationBytes: 1e9, MeasFlops: 4e9,
+		MeasPeakTaskMemBytes: 50 << 20, MeasWallSeconds: 10})
+	// Comp-bound operator: 8e12 flops in 5s wall → eff B̂c = 8e12/(4·5) = 4e11.
+	c.Observe(FlightRecord{Stage: "cuboid:mul#2", Op: "CFO mul#2", Kind: "CFO", P: 4, Q: 1, R: 1, Tasks: 4,
+		PredNetBytes: 1e6, PredComFlops: 8e12, PredMemBytes: 32 << 20,
+		MeasConsolidationBytes: 1e6, MeasFlops: 8e12, MeasWallSeconds: 5})
 
 	rep := c.Report(model)
 	if len(rep.Rows) != 2 {
@@ -251,15 +252,20 @@ func TestCalibrationReport(t *testing.T) {
 
 func TestCalibrationIterativeExecutions(t *testing.T) {
 	c := NewCalibration()
-	c.Predict(StagePred{Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 2,
-		NetBytes: 1e9, ComFlops: 1e9})
+	stage := func(name string) FlightRecord {
+		return FlightRecord{Stage: name, Op: "CFO mul#1", Kind: "CFO", P: 2, Q: 2, R: 2,
+			PredNetBytes: 1e9, PredComFlops: 1e9}
+	}
 	// Three iterations, each with a partial and a fuse stage.
 	for i := 0; i < 3; i++ {
-		c.Measure(StageMeas{Stage: "partial:mul#1", Op: "CFO mul#1", Tasks: 8,
-			ConsolidationBytes: 5e8, Flops: 1e9, WallSeconds: 1})
-		c.Measure(StageMeas{Stage: "fuse:mul#1", Op: "CFO mul#1", Tasks: 4,
-			AggregationBytes: 5e8, WallSeconds: 0.5})
+		partial := stage("partial:mul#1")
+		partial.Tasks, partial.MeasConsolidationBytes, partial.MeasFlops, partial.MeasWallSeconds = 8, 5e8, 1e9, 1
+		c.Observe(partial)
+		fuse := stage("fuse:mul#1")
+		fuse.Tasks, fuse.MeasAggregationBytes, fuse.MeasWallSeconds = 4, 5e8, 0.5
+		c.Observe(fuse)
 	}
+
 	rep := c.Report(ClusterModel{Nodes: 2, NetBandwidth: 125e6, CompBandwidth: 546e9})
 	if len(rep.Rows) != 1 {
 		t.Fatalf("rows = %d", len(rep.Rows))
@@ -278,6 +284,98 @@ func TestCalibrationIterativeExecutions(t *testing.T) {
 	c.Reset()
 	if rep := c.Report(ClusterModel{Nodes: 2}); len(rep.Rows) != 0 {
 		t.Fatal("Reset should clear records")
+	}
+}
+
+// TestCalibrationConcurrentDrain streams records from several goroutines
+// while another drains windows and renders reports: every stage lands in
+// exactly one window and in the report's totals.
+func TestCalibrationConcurrentDrain(t *testing.T) {
+	c := NewCalibration()
+	const writers, perWriter = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				c.Observe(FlightRecord{Stage: "s", Op: fmt.Sprintf("op%d", w%2), MeasWallSeconds: 1})
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	drained := 0.0
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			for _, win := range c.DrainWindow() {
+				drained += win.WallSeconds
+			}
+			c.Report(ClusterModel{Nodes: 2})
+		}
+	}()
+	wg.Wait()
+	<-done
+	for _, win := range c.DrainWindow() {
+		drained += win.WallSeconds
+	}
+	if drained != writers*perWriter {
+		t.Errorf("windows drained %g stage-seconds, want %d", drained, writers*perWriter)
+	}
+	stages := 0
+	for _, row := range c.Report(ClusterModel{Nodes: 2}).Rows {
+		stages += row.Stages
+	}
+	if stages != writers*perWriter {
+		t.Errorf("report counts %d stages, want %d", stages, writers*perWriter)
+	}
+}
+
+// TestRecordStageFansOut requires one stage record to reach every sink
+// unchanged: the calibration aggregate, the learner, the per-stage counters,
+// the flight file and the journal's stage_end event.
+func TestRecordStageFansOut(t *testing.T) {
+	var flight bytes.Buffer
+	j := NewJournal(0)
+	model := ClusterModel{Nodes: 2, NetBandwidth: 1e9, CompBandwidth: 50e9}
+	o := &Obs{
+		Calib:   NewCalibration(),
+		Metrics: NewRegistry(),
+		Flight:  NewFlightRecorder(&flight),
+		Learn:   &Learner{Store: NewCalibStore(), Key: CalibKey{Workers: 2}, Model: model},
+		QLog:    j.Begin("q1", ""),
+	}
+	rec := sampleRecord("cuboid:mul#3")
+	rec.CacheEvictions, rec.PrefetchBlocks, rec.StealTasks = 3, 5, 1
+	o.RecordStage(rec, errors.New("boom"))
+
+	if rows := o.Calib.Report(model).Rows; len(rows) != 1 || rows[0].MeasNetBytes != rec.MeasNetBytes() {
+		t.Errorf("calibration rows = %+v", rows)
+	}
+	if o.Learn.Store.Len() != 1 {
+		t.Errorf("learner folded %d entries, want 1", o.Learn.Store.Len())
+	}
+	for name, want := range map[string]int64{
+		MStagesTotal: 1, MConsolidationBytes: rec.MeasConsolidationBytes,
+		MAggregationBytes: rec.MeasAggregationBytes, MExtraBytes: rec.MeasExtraWireBytes,
+		MFlopsTotal: rec.MeasFlops, MCacheHits: rec.CacheHits, MCacheMisses: rec.CacheMisses,
+		MCacheEvictions: 3, MPrefetchBlocks: 5, MStealTasks: 1, MCalibUpdates: 1,
+	} {
+		if got := o.Metrics.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if err := o.Flight.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadFlightRecords(&flight)
+	if err != nil || len(recs) != 1 || recs[0] != rec {
+		t.Errorf("flight file = %+v, %v; want the record", recs, err)
+	}
+	events := j.Events("q1")
+	if len(events) != 1 || events[0].Type != EvStageEnd || events[0].Flight == nil ||
+		*events[0].Flight != rec || events[0].Error != "boom" || events[0].Seconds != rec.MeasWallSeconds {
+		t.Errorf("journal = %+v", events)
 	}
 }
 

@@ -285,21 +285,11 @@ func absInt(v int) int {
 // — and its back-solved effective bandwidth (measured bytes or flops over
 // N x wall) moves the class's EWMA. Stages with no prediction or no wall
 // time are ignored. Returns true when a sample was folded in.
-func (s *CalibStore) Observe(key CalibKey, m ClusterModel, pred StagePred, meas StageMeas) bool {
-	if s == nil || meas.WallSeconds <= 0 {
+func (s *CalibStore) Observe(key CalibKey, m ClusterModel, rec FlightRecord) bool {
+	if s == nil || rec.MeasWallSeconds <= 0 {
 		return false
 	}
-	n := float64(m.Nodes)
-	if n <= 0 {
-		n = 1
-	}
-	var netSec, comSec float64
-	if m.NetBandwidth > 0 {
-		netSec = float64(pred.NetBytes) / (n * m.NetBandwidth)
-	}
-	if m.CompBandwidth > 0 {
-		comSec = float64(pred.ComFlops) / (n * m.CompBandwidth)
-	}
+	netSec, comSec := m.Seconds(rec.PredNetBytes, rec.PredComFlops)
 	if netSec <= 0 && comSec <= 0 {
 		return false // bookkeeping stage with no prediction: nothing to learn from
 	}
@@ -310,18 +300,16 @@ func (s *CalibStore) Observe(key CalibKey, m ClusterModel, pred StagePred, meas 
 		e = &CalibEntry{Key: key}
 		s.entries[key] = e
 	}
-	if netSec >= comSec && meas.NetBytes() > 0 {
-		sample := float64(meas.NetBytes()) / (n * meas.WallSeconds)
-		e.NetBW = ewma(e.NetBW, sample, e.NetSamples)
+	if netSec >= comSec && rec.MeasNetBytes() > 0 {
+		e.NetBW = ewma(e.NetBW, m.effective(rec.MeasNetBytes(), rec.MeasWallSeconds), e.NetSamples)
 		e.NetSamples++
 		if drifted(e.NetBW, &e.pubNetBW) {
 			s.gen++
 		}
 		return true
 	}
-	if meas.Flops > 0 {
-		sample := float64(meas.Flops) / (n * meas.WallSeconds)
-		e.CompBW = ewma(e.CompBW, sample, e.CompSamples)
+	if rec.MeasFlops > 0 {
+		e.CompBW = ewma(e.CompBW, m.effective(rec.MeasFlops, rec.MeasWallSeconds), e.CompSamples)
 		e.CompSamples++
 		if drifted(e.CompBW, &e.pubCompBW) {
 			s.gen++
@@ -364,21 +352,9 @@ func drifted(live float64, published *float64) bool {
 // the same per-stage Observe path as live execution. Returns how many
 // records contributed a sample.
 func (s *CalibStore) UpdateFromFlight(key CalibKey, m ClusterModel, recs []FlightRecord) int {
-	if s == nil {
-		return 0
-	}
 	folded := 0
 	for _, r := range recs {
-		pred := StagePred{Op: r.Op, Kind: r.Kind, P: r.P, Q: r.Q, R: r.R,
-			NetBytes: r.PredNetBytes, ComFlops: r.PredComFlops, MemBytes: r.PredMemBytes}
-		meas := StageMeas{Stage: r.Stage, Op: r.Op, Tasks: r.Tasks,
-			ConsolidationBytes: r.MeasConsolidationBytes,
-			AggregationBytes:   r.MeasAggregationBytes,
-			ExtraWireBytes:     r.MeasExtraWireBytes,
-			Flops:              r.MeasFlops,
-			PeakTaskMemBytes:   r.MeasPeakTaskMemBytes,
-			WallSeconds:        r.MeasWallSeconds}
-		if s.Observe(key, m, pred, meas) {
+		if s.Observe(key, m, r) {
 			folded++
 		}
 	}
@@ -432,9 +408,9 @@ func weighted(a float64, an int64, b float64, bn int64) (float64, int64) {
 }
 
 // Learner binds a calibration store to one session's cluster shape so the
-// executor can stream stage samples into it without knowing either: the
-// stage hook calls Obs.LearnStage, which forwards (pred, meas) here under
-// the session's key and configured model. Sessions on different cluster
+// executor can stream stage records into it without knowing either:
+// Obs.RecordStage forwards each record here, which observes it under the
+// session's key and configured model. Sessions on different cluster
 // shapes share one store safely — each learns under its own key.
 type Learner struct {
 	Store *CalibStore
@@ -442,10 +418,10 @@ type Learner struct {
 	Model ClusterModel // configured constants used to classify stage boundness
 }
 
-// Observe forwards one stage sample to the store; nil-safe.
-func (l *Learner) Observe(pred StagePred, meas StageMeas) bool {
+// Observe forwards one stage record to the store; nil-safe.
+func (l *Learner) Observe(rec FlightRecord) bool {
 	if l == nil {
 		return false
 	}
-	return l.Store.Observe(l.Key, l.Model, pred, meas)
+	return l.Store.Observe(l.Key, l.Model, rec)
 }

@@ -80,6 +80,9 @@ func TestQueryIntrospection(t *testing.T) {
 	if d.Plan == "" || d.Engine == "" || d.PredSeconds <= 0 {
 		t.Fatalf("detail plan annotation missing: engine=%q pred=%g plan=%q", d.Engine, d.PredSeconds, d.Plan)
 	}
+	if d.CompileSeconds <= 0 {
+		t.Fatalf("detail compile_seconds = %g, want > 0", d.CompileSeconds)
+	}
 	if len(d.Stages) == 0 {
 		t.Fatal("detail has no stages")
 	}

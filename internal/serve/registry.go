@@ -141,12 +141,15 @@ type StageStatus struct {
 // decisions, and the raw event journal.
 type QueryDetail struct {
 	QueryRecord
-	Engine      string        `json:"engine,omitempty"`
-	Plan        string        `json:"plan,omitempty"`
-	PredSeconds float64       `json:"pred_seconds,omitempty"`
-	Replans     int           `json:"replans"`
-	Stages      []StageStatus `json:"stages,omitempty"`
-	Events      []obs.Event   `json:"events,omitempty"`
+	Engine      string  `json:"engine,omitempty"`
+	Plan        string  `json:"plan,omitempty"`
+	PredSeconds float64 `json:"pred_seconds,omitempty"`
+	// CompileSeconds is the planning wall time (the lookup on a plan-cache
+	// hit), from the planned event.
+	CompileSeconds float64       `json:"compile_seconds,omitempty"`
+	Replans        int           `json:"replans"`
+	Stages         []StageStatus `json:"stages,omitempty"`
+	Events         []obs.Event   `json:"events,omitempty"`
 }
 
 // detail joins the registry record with the query's journal events.
@@ -161,7 +164,7 @@ func (s *Server) detail(id string) (QueryDetail, bool) {
 		e := &d.Events[i]
 		switch e.Type {
 		case obs.EvPlanned:
-			d.Engine, d.Plan, d.PredSeconds = e.Engine, e.Plan, e.PredSeconds
+			d.Engine, d.Plan, d.PredSeconds, d.CompileSeconds = e.Engine, e.Plan, e.PredSeconds, e.CompileSeconds
 		case obs.EvReplanned:
 			d.Replans++
 			d.Plan = e.Plan

@@ -55,7 +55,8 @@ func WithTracing() Option {
 // network/computation/memory costs and chosen (P,Q,R) next to the stage's
 // measured wall time, wire bytes and cache savings. The file is created (or
 // truncated) immediately and flushed on Session.Close; read it back with
-// obs.ReadFlightFile / obs.CalibrationFromFlight, or diff runs offline.
+// obs.ReadFlightFile and rebuild the calibration report offline with
+// obs.ReportFromFlight, or diff runs.
 func WithFlightRecorder(path string) Option {
 	return func(s *Session) error {
 		fr, err := obs.OpenFlightRecorder(path)

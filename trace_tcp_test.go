@@ -148,7 +148,7 @@ func TestSessionFlightRecorderSim(t *testing.T) {
 		t.Fatalf("flight holds %d records, runtime executed %d stages", len(recs), stages)
 	}
 	// The offline feedback loop: the file alone rebuilds a calibration report.
-	rep := obs.CalibrationFromFlight(recs).Report(obs.ClusterModel{Nodes: cfg.Nodes, NetBandwidth: cfg.NetBandwidth, CompBandwidth: cfg.CompBandwidth})
+	rep := obs.ReportFromFlight(recs, obs.ClusterModel{Nodes: cfg.Nodes, NetBandwidth: cfg.NetBandwidth, CompBandwidth: cfg.CompBandwidth})
 	if len(rep.Rows) == 0 {
 		t.Fatal("flight file rebuilt an empty calibration report")
 	}
