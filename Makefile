@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet build test race bench bins clean cachecheck docscheck kernelcheck tracecheck servecheck chaoscheck pipelinecheck replancheck deflakecheck obscheck covercheck benchdiff
+.PHONY: check fmtcheck vet build test race bench bins clean cachecheck docscheck kernelcheck tracecheck servecheck chaoscheck pipelinecheck replancheck deflakecheck obscheck fuzzcheck covercheck benchdiff
 
 ## check: full verification gate — gofmt, vet, docs lint, build, race-enabled
 ## tests with a coverage profile, and the ratcheted coverage gate
@@ -126,6 +126,11 @@ obscheck:
 	$(GO) test -race -count=1 -run TestStragglerDetection ./internal/chaos/
 	$(GO) test -race -count=1 -run 'TestSessionJournal|TestSetQueryLog|TestSessionSkewDetector|TestJournalOverheadGate|TestCalibrationBoundedAcrossQueries|TestCalibrationOfflineEqualsLive' .
 	$(GO) test -race -count=1 ./cmd/fuseme-top/
+
+## fuzzcheck: fuzz the TCP frame reader for 15s — round trips with
+## writeFrame, no panic on arbitrary bytes, an error on every truncation
+fuzzcheck:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 15s ./internal/rt/remote/
 
 ## benchdiff: regenerate the bench documents into /tmp and diff them against
 ## the checked-in BENCH_*.json (non-blocking: timings vary across machines)

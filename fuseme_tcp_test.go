@@ -11,12 +11,12 @@ import (
 // startWorkers launches n in-process TCP workers and returns their addresses.
 func startWorkers(t *testing.T, n int) []string {
 	t.Helper()
+	workers, err := remote.StartWorkers(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	addrs := make([]string, n)
-	for i := range addrs {
-		w, err := remote.NewWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, w := range workers {
 		t.Cleanup(func() { w.Close() })
 		addrs[i] = w.Addr()
 	}

@@ -25,28 +25,17 @@ func TestStragglerDetection(t *testing.T) {
 	cfg.DisableStealing = true
 
 	const slow = 1
-	addrs := make([]string, cfg.Nodes)
-	workers := make([]*remote.Worker, cfg.Nodes)
-	for i := range addrs {
-		w, err := remote.NewWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.Close() })
-		workers[i] = w
-		addrs[i] = w.Addr()
+	lc, err := remote.StartLocal(cfg, fastTransport())
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { lc.Close() })
 	// The pad must dominate the task body even when the race detector slows
 	// healthy tasks to tens of milliseconds: with two workers the slowdown
 	// score converges to 2r/(1+r) for a duration ratio r, so crossing the
 	// 1.5 flag threshold needs r >= 3 with margin.
-	workers[slow].SetTaskDelay(100 * time.Millisecond)
-
-	co, err := remote.NewCoordinatorConfig(cfg, addrs, fastTransport())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { co.Close() })
+	lc.Workers[slow].SetTaskDelay(100 * time.Millisecond)
+	co := lc.Coordinator
 
 	reg := obs.NewRegistry()
 	o := &obs.Obs{Metrics: reg, Skew: obs.NewSkewDetector()}

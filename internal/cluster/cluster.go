@@ -35,9 +35,6 @@ var ErrOutOfMemory = errors.New("task memory budget exceeded (O.O.M.)")
 // configured limit. This is the T.O. (12 h in the paper) of the figures.
 var ErrTimeout = errors.New("simulated time limit exceeded (T.O.)")
 
-// errInjectedFailure marks failures produced by Config.InjectTaskFailure.
-var errInjectedFailure = errors.New("injected task failure")
-
 // Config describes the simulated cluster.
 type Config struct {
 	Nodes         int     // N: number of worker nodes
@@ -106,10 +103,6 @@ type Config struct {
 	// MaxTaskRetries is how many times a failed task is re-attempted before
 	// the stage fails (Spark's task retry). Zero means no retries.
 	MaxTaskRetries int
-	// InjectTaskFailure, when non-nil, is consulted before each task
-	// attempt; returning true makes the attempt fail with a transient
-	// error. Used by failure-injection tests to exercise retry paths.
-	InjectTaskFailure func(taskID, attempt int) bool
 }
 
 // Default returns the paper's cluster shape (Section 6.1): 8 worker nodes,
@@ -202,6 +195,35 @@ func (c Config) EffectiveCompBandwidth() float64 {
 	return c.CompBandwidth
 }
 
+// StageSeconds is the Eq. 2 stage clock: max(bytes/(N·B̂n), flops/(N·B̂c))
+// plus TaskOverhead per wave of tasks, where tasks is the widest task count
+// among the stage's concurrent operators. The simulated runtime charges it
+// per stage and the full-scale dry run per dependency level.
+func (c Config) StageSeconds(bytes, flops float64, tasks int) float64 {
+	n := float64(c.Nodes)
+	net, comp := bytes/(n*c.NetBandwidth), flops/(n*c.EffectiveCompBandwidth())
+	t := comp
+	if net > comp {
+		t = net
+	}
+	if c.TaskOverhead > 0 && tasks > 0 {
+		waves := (tasks + c.TotalSlots() - 1) / c.TotalSlots()
+		t += float64(waves) * c.TaskOverhead
+	}
+	return t
+}
+
+// CheckAdmission rejects an operator whose estimated per-task memory exceeds
+// the budget θt, wrapping ErrOutOfMemory. Engines with no partitioning knob
+// (BFO, MatFast's folded operators) fail here, as in the paper.
+func (c Config) CheckAdmission(estTaskMemBytes int64, what string) error {
+	if estTaskMemBytes > c.TaskMemBytes {
+		return fmt.Errorf("%s needs %s per task, budget %s: %w",
+			what, FormatBytes(estTaskMemBytes), FormatBytes(c.TaskMemBytes), ErrOutOfMemory)
+	}
+	return nil
+}
+
 // Stats accumulates execution metrics across stages. All byte counts are the
 // "amount of transferred data" the paper reports as communication cost.
 type Stats struct {
@@ -242,6 +264,38 @@ type Stats struct {
 	PrefetchBlocks  int64
 	PrefetchBytes   int64
 	StealTasks      int64
+	FetchSeconds    float64
+	PrefetchSeconds float64
+	TaskSeconds     float64
+}
+
+// TaskMetrics is one task's metering, the single per-task record of both
+// runtimes: a Task accumulates it while its body runs, a TCP worker ships it
+// back in its completion report, and Stats.AddTask folds it into its stage.
+// Its byte and prefetch counters are the task's own SizeBytes accounting;
+// the TCP coordinator replaces them in the folded stage with what its wire
+// meter measured.
+type TaskMetrics struct {
+	ConsolidationBytes int64
+	AggregationBytes   int64
+	Flops              int64
+	MemPeakBytes       int64
+
+	// Block-cache counters for the task (see internal/blockcache).
+	CacheHits       int64
+	CacheMisses     int64
+	CacheEvictions  int64
+	CacheSavedBytes int64
+
+	// Input blocks pulled ahead for the task's queue successor.
+	PrefetchBlocks int64
+	PrefetchBytes  int64
+
+	// Wall-clock phases, set by the TCP worker only. FetchSeconds is the
+	// wire wait inside the task body (time blocked on fetch round-trips,
+	// excluding buffered prefetch hits); PrefetchSeconds the wire time the
+	// worker spent pulling the next task's blocks while this task's kernel
+	// ran; TaskSeconds the task's wall time on the worker.
 	FetchSeconds    float64
 	PrefetchSeconds float64
 	TaskSeconds     float64
@@ -358,6 +412,59 @@ func (s *Stats) Add(other Stats) {
 	}
 	if other.MaxTaskFlops > s.MaxTaskFlops {
 		s.MaxTaskFlops = other.MaxTaskFlops
+	}
+}
+
+// AddTask folds one finished task into s, a stage's statistics: it counts
+// the task, sums its counters and keeps the maxima of per-task peak memory
+// and flops.
+func (s *Stats) AddTask(m TaskMetrics) {
+	s.Tasks++
+	s.ConsolidationBytes += m.ConsolidationBytes
+	s.AggregationBytes += m.AggregationBytes
+	s.Flops += m.Flops
+	s.CacheHits += m.CacheHits
+	s.CacheMisses += m.CacheMisses
+	s.CacheEvictions += m.CacheEvictions
+	s.CacheSavedBytes += m.CacheSavedBytes
+	s.PrefetchBlocks += m.PrefetchBlocks
+	s.PrefetchBytes += m.PrefetchBytes
+	s.FetchSeconds += m.FetchSeconds
+	s.PrefetchSeconds += m.PrefetchSeconds
+	s.TaskSeconds += m.TaskSeconds
+	if m.MemPeakBytes > s.PeakTaskMemBytes {
+		s.PeakTaskMemBytes = m.MemPeakBytes
+	}
+	if m.Flops > s.MaxTaskFlops {
+		s.MaxTaskFlops = m.Flops
+	}
+}
+
+// Sub returns the counters accumulated since the snapshot prev: the delta of
+// every summed field. PeakTaskMemBytes and MaxTaskFlops are running maxima
+// and keep s's values.
+func (s Stats) Sub(prev Stats) Stats {
+	return Stats{
+		ConsolidationBytes: s.ConsolidationBytes - prev.ConsolidationBytes,
+		AggregationBytes:   s.AggregationBytes - prev.AggregationBytes,
+		Flops:              s.Flops - prev.Flops,
+		Stages:             s.Stages - prev.Stages,
+		Tasks:              s.Tasks - prev.Tasks,
+		SimSeconds:         s.SimSeconds - prev.SimSeconds,
+		WallSeconds:        s.WallSeconds - prev.WallSeconds,
+		PeakTaskMemBytes:   s.PeakTaskMemBytes,
+		MaxTaskFlops:       s.MaxTaskFlops,
+		ExtraWireBytes:     s.ExtraWireBytes - prev.ExtraWireBytes,
+		CacheHits:          s.CacheHits - prev.CacheHits,
+		CacheMisses:        s.CacheMisses - prev.CacheMisses,
+		CacheEvictions:     s.CacheEvictions - prev.CacheEvictions,
+		CacheSavedBytes:    s.CacheSavedBytes - prev.CacheSavedBytes,
+		PrefetchBlocks:     s.PrefetchBlocks - prev.PrefetchBlocks,
+		PrefetchBytes:      s.PrefetchBytes - prev.PrefetchBytes,
+		StealTasks:         s.StealTasks - prev.StealTasks,
+		FetchSeconds:       s.FetchSeconds - prev.FetchSeconds,
+		PrefetchSeconds:    s.PrefetchSeconds - prev.PrefetchSeconds,
+		TaskSeconds:        s.TaskSeconds - prev.TaskSeconds,
 	}
 }
 
@@ -505,15 +612,10 @@ func (c *Cluster) AddStats(s Stats) {
 	c.stats.Add(s)
 }
 
-// CheckAdmission rejects an operator whose estimated per-task memory exceeds
-// the budget, wrapping ErrOutOfMemory. Engines with no partitioning knob
-// (BFO, MatFast's folded operators) fail here, as in the paper.
+// CheckAdmission applies the configured per-task memory budget
+// (Config.CheckAdmission).
 func (c *Cluster) CheckAdmission(estTaskMemBytes int64, what string) error {
-	if estTaskMemBytes > c.cfg.TaskMemBytes {
-		return fmt.Errorf("%s needs %s per task, budget %s: %w",
-			what, FormatBytes(estTaskMemBytes), FormatBytes(c.cfg.TaskMemBytes), ErrOutOfMemory)
-	}
-	return nil
+	return c.cfg.CheckAdmission(estTaskMemBytes, what)
 }
 
 // Task is the handle a stage function uses to meter its data movement,
@@ -529,19 +631,8 @@ type Task struct {
 	// nil means tracing is off. Set by the backend that runs the task.
 	trace *TaskTrace
 
-	consolidationBytes int64
-	aggregationBytes   int64
-	flops              int64
-	memBytes           int64
-	memPeak            int64
-
-	cacheHits       int64
-	cacheMisses     int64
-	cacheEvictions  int64
-	cacheSavedBytes int64
-
-	prefetchBlocks int64
-	prefetchBytes  int64
+	m        TaskMetrics
+	memBytes int64 // live memory; m.MemPeakBytes is its high-water mark
 }
 
 // SetPool hands the task a kernel pool for intra-task parallelism. Backends
@@ -558,14 +649,14 @@ func (t *Task) FetchBlock(m matrix.Mat) {
 		return
 	}
 	n := m.SizeBytes()
-	t.consolidationBytes += n
+	t.m.ConsolidationBytes += n
 	t.GrowMem(n)
 }
 
 // FetchBytes meters raw consolidation traffic (for metadata or pre-sized
 // estimates) without a concrete block.
 func (t *Task) FetchBytes(n int64) {
-	t.consolidationBytes += n
+	t.m.ConsolidationBytes += n
 	t.GrowMem(n)
 }
 
@@ -575,20 +666,20 @@ func (t *Task) SendBlock(m matrix.Mat) {
 	if m == nil {
 		return
 	}
-	t.aggregationBytes += m.SizeBytes()
+	t.m.AggregationBytes += m.SizeBytes()
 }
 
 // SendBytes meters raw aggregation traffic.
-func (t *Task) SendBytes(n int64) { t.aggregationBytes += n }
+func (t *Task) SendBytes(n int64) { t.m.AggregationBytes += n }
 
 // AddFlops meters floating-point work executed by this task.
-func (t *Task) AddFlops(n int64) { t.flops += n }
+func (t *Task) AddFlops(n int64) { t.m.Flops += n }
 
 // GrowMem increases the task's live-memory estimate and updates its peak.
 func (t *Task) GrowMem(n int64) {
 	t.memBytes += n
-	if t.memBytes > t.memPeak {
-		t.memPeak = t.memBytes
+	if t.memBytes > t.m.MemPeakBytes {
+		t.m.MemPeakBytes = t.memBytes
 	}
 }
 
@@ -602,36 +693,28 @@ func (t *Task) ShrinkMem(n int64) { t.memBytes -= n }
 // model, so CacheSavedBytes exactly equals the consolidation-byte drop
 // versus an uncached run on both backends.
 func (t *Task) CacheHit(blockBytes, savedBytes int64) {
-	t.cacheHits++
-	t.cacheSavedBytes += savedBytes
+	t.m.CacheHits++
+	t.m.CacheSavedBytes += savedBytes
 	t.GrowMem(blockBytes)
 }
 
 // CacheMiss meters a cache-eligible fetch that had to ship the block.
-func (t *Task) CacheMiss() { t.cacheMisses++ }
+func (t *Task) CacheMiss() { t.m.CacheMisses++ }
 
 // AddCacheEvictions meters entries the task's insertions evicted.
-func (t *Task) AddCacheEvictions(n int) { t.cacheEvictions += int64(n) }
+func (t *Task) AddCacheEvictions(n int) { t.m.CacheEvictions += int64(n) }
 
 // AddPrefetch meters input blocks pulled ahead for this task's queue
 // successor while its own kernel ran (or, under simulation, blocks the
 // model determined would have been pulled ahead).
 func (t *Task) AddPrefetch(blocks, bytes int64) {
-	t.prefetchBlocks += blocks
-	t.prefetchBytes += bytes
+	t.m.PrefetchBlocks += blocks
+	t.m.PrefetchBytes += bytes
 }
 
-// Counters returns the task's accumulated metering, for backends that fold
-// task metrics into stage statistics outside RunStage (the remote runtime's
-// workers report these back to their coordinator).
-func (t *Task) Counters() (consolidationBytes, aggregationBytes, flops, memPeakBytes int64) {
-	return t.consolidationBytes, t.aggregationBytes, t.flops, t.memPeak
-}
-
-// CacheCounters returns the task's block-cache metering.
-func (t *Task) CacheCounters() (hits, misses, evictions, savedBytes int64) {
-	return t.cacheHits, t.cacheMisses, t.cacheEvictions, t.cacheSavedBytes
-}
+// Metrics returns the task's accumulated metering (the remote runtime's
+// workers report it back to their coordinator).
+func (t *Task) Metrics() TaskMetrics { return t.m }
 
 // SetScheduler installs a shared task-dispatch scheduler (nil restores the
 // cluster's private one is not supported — pass a non-nil scheduler). Call
@@ -684,11 +767,7 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 			// attempt's partial work is discarded, exactly as a re-executed
 			// Spark task recomputes its partition.
 			tasks[i] = Task{ID: i, pool: c.pool}
-			if c.cfg.InjectTaskFailure != nil && c.cfg.InjectTaskFailure(i, attempt) {
-				err = errInjectedFailure
-			} else {
-				err = fn(&tasks[i])
-			}
+			err = fn(&tasks[i])
 			if err == nil || attempt >= c.cfg.MaxTaskRetries {
 				break
 			}
@@ -702,33 +781,11 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 		return err
 	}
 
-	var stage Stats
-	stage.Stages = 1
-	stage.Tasks = numTasks
+	stage := Stats{Stages: 1}
 	for i := range tasks {
-		stage.ConsolidationBytes += tasks[i].consolidationBytes
-		stage.AggregationBytes += tasks[i].aggregationBytes
-		stage.Flops += tasks[i].flops
-		stage.CacheHits += tasks[i].cacheHits
-		stage.CacheMisses += tasks[i].cacheMisses
-		stage.CacheEvictions += tasks[i].cacheEvictions
-		stage.CacheSavedBytes += tasks[i].cacheSavedBytes
-		stage.PrefetchBlocks += tasks[i].prefetchBlocks
-		stage.PrefetchBytes += tasks[i].prefetchBytes
-		if tasks[i].memPeak > stage.PeakTaskMemBytes {
-			stage.PeakTaskMemBytes = tasks[i].memPeak
-		}
-		if tasks[i].flops > stage.MaxTaskFlops {
-			stage.MaxTaskFlops = tasks[i].flops
-		}
+		stage.AddTask(tasks[i].m)
 	}
-	bytes := float64(stage.ConsolidationBytes + stage.AggregationBytes)
-	n := float64(c.cfg.Nodes)
-	stage.SimSeconds = maxf(bytes/(n*c.cfg.NetBandwidth), float64(stage.Flops)/(n*c.cfg.EffectiveCompBandwidth()))
-	if c.cfg.TaskOverhead > 0 && numTasks > 0 {
-		waves := (numTasks + c.cfg.TotalSlots() - 1) / c.cfg.TotalSlots()
-		stage.SimSeconds += float64(waves) * c.cfg.TaskOverhead
-	}
+	stage.SimSeconds = c.cfg.StageSeconds(float64(stage.ConsolidationBytes+stage.AggregationBytes), float64(stage.Flops), numTasks)
 	stage.WallSeconds = time.Since(start).Seconds()
 
 	c.mu.Lock()
@@ -741,13 +798,6 @@ func (c *Cluster) RunStage(name string, numTasks int, fn func(t *Task) error) er
 			name, total, c.cfg.SimTimeLimit, ErrTimeout)
 	}
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FormatBytes renders a byte count with a binary-prefix unit.

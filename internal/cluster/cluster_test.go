@@ -284,26 +284,23 @@ func TestTaskRetrySucceedsAfterTransientFailures(t *testing.T) {
 	cfg.MaxTaskRetries = 3
 	failuresLeft := map[int]int{2: 2, 5: 1} // task 2 fails twice, task 5 once
 	var mu sync.Mutex
-	cfg.InjectTaskFailure = func(taskID, attempt int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if failuresLeft[taskID] > 0 {
-			failuresLeft[taskID]--
-			return true
-		}
-		return false
-	}
 	c := MustNew(cfg)
 	var ran atomic.Int64
 	if err := c.RunStage("retry", 8, func(task *Task) error {
 		ran.Add(1)
-		task.AddFlops(10)
+		task.AddFlops(10) // metered on every attempt, kept for the last
+		mu.Lock()
+		defer mu.Unlock()
+		if failuresLeft[task.ID] > 0 {
+			failuresLeft[task.ID]--
+			return errors.New("transient")
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ran.Load() != 8 {
-		t.Fatalf("fn ran %d times, want 8 (injected attempts bypass fn)", ran.Load())
+	if ran.Load() != 11 {
+		t.Fatalf("fn ran %d times, want 11 (8 successes + 3 failed attempts)", ran.Load())
 	}
 	// Metering counts only successful attempts.
 	if got := c.Stats().Flops; got != 80 {
@@ -314,14 +311,23 @@ func TestTaskRetrySucceedsAfterTransientFailures(t *testing.T) {
 func TestTaskRetryExhaustedFailsStage(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxTaskRetries = 2
-	cfg.InjectTaskFailure = func(taskID, attempt int) bool { return taskID == 1 }
 	c := MustNew(cfg)
-	err := c.RunStage("doomed", 4, func(task *Task) error { return nil })
+	var attempts atomic.Int64
+	err := c.RunStage("doomed", 4, func(task *Task) error {
+		if task.ID == 1 {
+			attempts.Add(1)
+			return errors.New("persistent failure")
+		}
+		return nil
+	})
 	if err == nil || !strings.Contains(err.Error(), "task 1") {
 		t.Fatalf("err = %v", err)
 	}
-	if !strings.Contains(err.Error(), "injected") {
-		t.Fatalf("err should mention the injected failure: %v", err)
+	if !strings.Contains(err.Error(), "persistent failure") {
+		t.Fatalf("err should carry the task's own failure: %v", err)
+	}
+	if got := attempts.Load(); got != 3 {
+		t.Fatalf("task 1 attempted %d times, want 3 (1 + MaxTaskRetries)", got)
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 func Simulate(pp *PhysPlan, cl *cluster.Cluster) (cluster.Stats, error) {
 	cfg := cl.Config()
 	var s cluster.Stats
-	n := float64(cfg.Nodes)
 
 	levels := opLevels(pp)
 	// Per level: bandwidth and compute are shared cluster resources, so
@@ -42,24 +41,17 @@ func Simulate(pp *PhysPlan, cl *cluster.Cluster) (cluster.Stats, error) {
 	}
 	levelNet := make([]float64, depth)
 	levelCom := make([]float64, depth)
-	levelOvh := make([]float64, depth)
+	levelTasks := make([]int, depth) // the widest operator sets the waves
 	for _, op := range pp.Ops {
-		desc := fmt.Sprintf("%s %s", op.Kind, op.Plan)
-		if op.EstMemPerTask > cfg.TaskMemBytes {
-			return s, fmt.Errorf("%s needs %s per task, budget %s: %w",
-				desc, cluster.FormatBytes(op.EstMemPerTask), cluster.FormatBytes(cfg.TaskMemBytes), cluster.ErrOutOfMemory)
+		if err := cfg.CheckAdmission(op.EstMemPerTask, fmt.Sprintf("%s %s", op.Kind, op.Plan)); err != nil {
+			return s, err
 		}
 		tasks := estTasks(op, cfg)
 		agg := estAggregationBytes(op, tasks)
 		lvl := levels[op]
 		levelNet[lvl] += float64(op.EstNetBytes + agg)
 		levelCom[lvl] += float64(op.EstComFlops)
-		if cfg.TaskOverhead > 0 {
-			waves := (tasks + cfg.TotalSlots() - 1) / cfg.TotalSlots()
-			if ovh := float64(waves) * cfg.TaskOverhead; ovh > levelOvh[lvl] {
-				levelOvh[lvl] = ovh
-			}
-		}
+		levelTasks[lvl] = max(levelTasks[lvl], tasks)
 		s.ConsolidationBytes += op.EstNetBytes
 		s.AggregationBytes += agg
 		s.Flops += op.EstComFlops
@@ -70,7 +62,7 @@ func Simulate(pp *PhysPlan, cl *cluster.Cluster) (cluster.Stats, error) {
 		}
 	}
 	for lvl, net := range levelNet {
-		s.SimSeconds += maxf(net/(n*cfg.NetBandwidth), levelCom[lvl]/(n*cfg.EffectiveCompBandwidth())) + levelOvh[lvl]
+		s.SimSeconds += cfg.StageSeconds(net, levelCom[lvl], levelTasks[lvl])
 	}
 	if cfg.SimTimeLimit > 0 && s.SimSeconds > cfg.SimTimeLimit {
 		return s, fmt.Errorf("plan: simulated time %.0fs exceeds limit %.0fs: %w",
@@ -143,11 +135,4 @@ func estTasks(op *PhysOp, cfg cluster.Config) int {
 		slots = 1
 	}
 	return slots
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

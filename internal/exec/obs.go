@@ -55,6 +55,7 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.StagePred, st *rt.Sta
 	before := rtm.Stats()
 	err := rt.RunStage(rtm, st)
 	after := rtm.Stats()
+	d := after.Sub(before)
 
 	rec := obs.FlightRecord{
 		Stage: st.Name,
@@ -69,26 +70,24 @@ func runObservedStage(rtm rt.Runtime, o *obs.Obs, pred obs.StagePred, st *rt.Sta
 		PredComFlops: pred.ComFlops,
 		PredMemBytes: pred.MemBytes,
 
-		MeasWallSeconds:        after.SimSeconds - before.SimSeconds,
-		MeasConsolidationBytes: after.ConsolidationBytes - before.ConsolidationBytes,
-		MeasAggregationBytes:   after.AggregationBytes - before.AggregationBytes,
-		MeasExtraWireBytes:     after.ExtraWireBytes - before.ExtraWireBytes,
-		MeasFlops:              after.Flops - before.Flops,
-		MeasPeakTaskMemBytes:   after.PeakTaskMemBytes, // running max, not a delta
-		CacheHits:              after.CacheHits - before.CacheHits,
-		CacheMisses:            after.CacheMisses - before.CacheMisses,
-		CacheEvictions:         after.CacheEvictions - before.CacheEvictions,
-		CacheSavedBytes:        after.CacheSavedBytes - before.CacheSavedBytes,
+		MeasWallSeconds:        d.SimSeconds,
+		MeasConsolidationBytes: d.ConsolidationBytes,
+		MeasAggregationBytes:   d.AggregationBytes,
+		MeasExtraWireBytes:     d.ExtraWireBytes,
+		MeasFlops:              d.Flops,
+		MeasPeakTaskMemBytes:   d.PeakTaskMemBytes, // running max, not a delta
+		CacheHits:              d.CacheHits,
+		CacheMisses:            d.CacheMisses,
+		CacheEvictions:         d.CacheEvictions,
+		CacheSavedBytes:        d.CacheSavedBytes,
 
-		PrefetchBlocks:      after.PrefetchBlocks - before.PrefetchBlocks,
-		PrefetchBytes:       after.PrefetchBytes - before.PrefetchBytes,
-		StealTasks:          after.StealTasks - before.StealTasks,
-		MeasFetchSeconds:    after.FetchSeconds - before.FetchSeconds,
-		MeasPrefetchSeconds: after.PrefetchSeconds - before.PrefetchSeconds,
-		MeasTaskSeconds:     after.TaskSeconds - before.TaskSeconds,
-	}
-	if wire := rec.MeasPrefetchSeconds + rec.MeasFetchSeconds; wire > 0 {
-		rec.OverlapRatio = rec.MeasPrefetchSeconds / wire
+		PrefetchBlocks:      d.PrefetchBlocks,
+		PrefetchBytes:       d.PrefetchBytes,
+		StealTasks:          d.StealTasks,
+		MeasFetchSeconds:    d.FetchSeconds,
+		MeasPrefetchSeconds: d.PrefetchSeconds,
+		MeasTaskSeconds:     d.TaskSeconds,
+		OverlapRatio:        d.OverlapRatio(),
 	}
 	o.RecordStage(rec, err)
 
@@ -145,11 +144,11 @@ func wrapTaskFn(o *obs.Obs, inner func(*cluster.Task) error, stageStart time.Tim
 		o.ObserveTask(task.ID%nodes, elapsed)
 		tasks.Inc()
 		if span != nil {
-			cons, agg, flops, memPeak := task.Counters()
-			span.Arg("consolidation_bytes", cons).
-				Arg("aggregation_bytes", agg).
-				Arg("flops", flops).
-				Arg("peak_mem_bytes", memPeak)
+			m := task.Metrics()
+			span.Arg("consolidation_bytes", m.ConsolidationBytes).
+				Arg("aggregation_bytes", m.AggregationBytes).
+				Arg("flops", m.Flops).
+				Arg("peak_mem_bytes", m.MemPeakBytes)
 			span.End()
 		}
 		if tt != nil {

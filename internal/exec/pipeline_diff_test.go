@@ -33,24 +33,12 @@ func openBackend(t *testing.T, backend string, cfg cluster.Config) rt.Runtime {
 	case "sim":
 		return cluster.MustNew(cfg)
 	case "tcp":
-		addrs := make([]string, cfg.Nodes)
-		for i := range addrs {
-			w, err := remote.NewWorker("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { w.Close() })
-			if cfg.CacheBytes > 0 {
-				w.SetCacheBytes(cfg.CacheBytes)
-			}
-			addrs[i] = w.Addr()
-		}
-		co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
+		lc, err := remote.StartLocal(cfg, remote.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { co.Close() })
-		return co
+		t.Cleanup(func() { lc.Close() })
+		return lc.Coordinator
 	}
 	t.Fatalf("unknown backend %q", backend)
 	return nil

@@ -32,28 +32,17 @@ type CacheReport struct {
 	PerIter    []CacheIter `json:"per_iter"`
 }
 
-// runGNMFOverTCP executes GNMF against in-process TCP workers (budget 0
-// disables the block cache) and returns the per-iteration stats deltas.
-func runGNMFOverTCP(cfg cluster.Config, workers int, budget int64, x, u, v *block.Matrix, iters int) ([]cluster.Stats, error) {
-	addrs := make([]string, workers)
-	for i := range addrs {
-		w, err := remote.NewWorker("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		defer w.Close()
-		if budget > 0 {
-			w.SetCacheBytes(budget)
-		}
-		addrs[i] = w.Addr()
-	}
+// runGNMFOverTCP executes GNMF against cfg.Nodes in-process TCP workers
+// (budget 0 disables the block cache) and returns the per-iteration stats
+// deltas.
+func runGNMFOverTCP(cfg cluster.Config, budget int64, x, u, v *block.Matrix, iters int) ([]cluster.Stats, error) {
 	cfg.CacheBytes = budget
-	co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
+	lc, err := remote.StartLocal(cfg, remote.Config{})
 	if err != nil {
 		return nil, err
 	}
-	defer co.Close()
-	res, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, iters)
+	defer lc.Close()
+	res, err := workloads.RunGNMF(core.FuseME{}, lc.Coordinator, x, u, v, iters)
 	if err != nil {
 		return nil, err
 	}
@@ -91,12 +80,12 @@ func CacheBench(opts Options) (*CacheReport, []*Table, error) {
 	}
 
 	x, u, v := mk()
-	cold, err := runGNMFOverTCP(cfg, workers, 0, x, u, v, iters)
+	cold, err := runGNMFOverTCP(cfg, 0, x, u, v, iters)
 	if err != nil {
 		return nil, nil, fmt.Errorf("uncached GNMF: %w", err)
 	}
 	x, u, v = mk()
-	warm, err := runGNMFOverTCP(cfg, workers, budget, x, u, v, iters)
+	warm, err := runGNMFOverTCP(cfg, budget, x, u, v, iters)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cached GNMF: %w", err)
 	}

@@ -47,35 +47,29 @@ type PipelineReport struct {
 	SpeedupPercent   float64     `json:"speedup_percent"`
 }
 
-// runPipelineGNMF executes GNMF over real TCP workers with pipelining on or
-// off and folds the run into a PipelineRun. pad inflates every task by a
-// fixed kernel-side sleep so compute is material next to loopback wire time
-// — the controlled knob that makes overlap measurable on one machine, where
-// real kernels at bench scale finish faster than the wire.
-func runPipelineGNMF(cfg cluster.Config, workers int, pad time.Duration, pipelined bool, x, u, v *block.Matrix, iters int) (PipelineRun, error) {
-	addrs := make([]string, workers)
-	for i := range addrs {
-		w, err := remote.NewWorker("127.0.0.1:0")
-		if err != nil {
-			return PipelineRun{}, err
-		}
-		defer w.Close()
-		w.SetTaskDelay(pad)
-		addrs[i] = w.Addr()
-	}
+// runPipelineGNMF executes GNMF over cfg.Nodes in-process TCP workers with
+// pipelining on or off and folds the run into a PipelineRun. pad inflates
+// every task by a fixed kernel-side sleep so compute is material next to
+// loopback wire time — the controlled knob that makes overlap measurable on
+// one machine, where real kernels at bench scale finish faster than the
+// wire.
+func runPipelineGNMF(cfg cluster.Config, pad time.Duration, pipelined bool, x, u, v *block.Matrix, iters int) (PipelineRun, error) {
 	cfg.DisablePipelining = !pipelined
-	co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
+	lc, err := remote.StartLocal(cfg, remote.Config{})
 	if err != nil {
 		return PipelineRun{}, err
 	}
-	defer co.Close()
-	res, err := workloads.RunGNMF(core.FuseME{}, co, x, u, v, iters)
+	defer lc.Close()
+	for _, w := range lc.Workers {
+		w.SetTaskDelay(pad)
+	}
+	res, err := workloads.RunGNMF(core.FuseME{}, lc.Coordinator, x, u, v, iters)
 	if err != nil {
 		return PipelineRun{}, err
 	}
 
 	s := res.Total
-	lanes := workers * cfg.TasksPerNode
+	lanes := cfg.Nodes * cfg.TasksPerNode
 	run := PipelineRun{
 		WallSeconds:    s.WallSeconds,
 		NetSeconds:     s.FetchSeconds + s.PrefetchSeconds,
@@ -129,12 +123,12 @@ func PipelineBench(opts Options) (*PipelineReport, []*Table, error) {
 	}
 
 	x, u, v := mk()
-	barrier, err := runPipelineGNMF(cfg, workers, pad, false, x, u, v, iters)
+	barrier, err := runPipelineGNMF(cfg, pad, false, x, u, v, iters)
 	if err != nil {
 		return nil, nil, fmt.Errorf("barrier GNMF: %w", err)
 	}
 	x, u, v = mk()
-	pipelined, err := runPipelineGNMF(cfg, workers, pad, true, x, u, v, iters)
+	pipelined, err := runPipelineGNMF(cfg, pad, true, x, u, v, iters)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipelined GNMF: %w", err)
 	}

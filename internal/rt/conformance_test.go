@@ -38,23 +38,21 @@ func backends() map[string]func(t *testing.T) rt.Runtime {
 		},
 		"tcp": func(t *testing.T) rt.Runtime {
 			cfg := conformanceConfig()
-			addrs := make([]string, cfg.Nodes)
-			for i := range addrs {
-				w, err := remote.NewWorker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { w.Close() })
-				addrs[i] = w.Addr()
-			}
-			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { co.Close() })
-			return co
+			return startTCP(t, cfg)
 		},
 	}
+}
+
+// startTCP starts cfg.Nodes in-process TCP workers (each with cfg.CacheBytes
+// as its cache budget) and a coordinator over them, closed when t ends.
+func startTCP(t *testing.T, cfg cluster.Config) *remote.Coordinator {
+	t.Helper()
+	lc, err := remote.StartLocal(cfg, remote.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lc.Close() })
+	return lc.Coordinator
 }
 
 // planRun is one backend's observation of the reference plan: outputs plus
@@ -180,22 +178,7 @@ func cacheBackends() map[string]func(t *testing.T) rt.Runtime {
 			cfg := conformanceConfig()
 			cfg.CacheBytes = budget
 			cfg.DisableStealing = true
-			addrs := make([]string, cfg.Nodes)
-			for i := range addrs {
-				w, err := remote.NewWorker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { w.Close() })
-				w.SetCacheBytes(budget)
-				addrs[i] = w.Addr()
-			}
-			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { co.Close() })
-			return co
+			return startTCP(t, cfg)
 		},
 	}
 }
@@ -315,21 +298,7 @@ func pipelineBackends() map[string]func(t *testing.T) rt.Runtime {
 		},
 		"tcp": func(t *testing.T) rt.Runtime {
 			cfg := pipelineConformanceConfig()
-			addrs := make([]string, cfg.Nodes)
-			for i := range addrs {
-				w, err := remote.NewWorker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { w.Close() })
-				addrs[i] = w.Addr()
-			}
-			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { co.Close() })
-			return co
+			return startTCP(t, cfg)
 		},
 	}
 }

@@ -100,21 +100,7 @@ func journalBackends() map[string]func(t *testing.T) rt.Runtime {
 		},
 		"tcp": func(t *testing.T) rt.Runtime {
 			cfg := pipelineConformanceConfig()
-			addrs := make([]string, cfg.Nodes)
-			for i := range addrs {
-				w, err := remote.NewWorker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { w.Close() })
-				addrs[i] = w.Addr()
-			}
-			co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { co.Close() })
-			return co
+			return startTCP(t, cfg)
 		},
 	}
 }

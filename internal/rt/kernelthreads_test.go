@@ -17,7 +17,6 @@ import (
 	"fuseme/internal/cluster"
 	"fuseme/internal/core"
 	"fuseme/internal/rt"
-	"fuseme/internal/rt/remote"
 	"fuseme/internal/workloads"
 )
 
@@ -36,19 +35,9 @@ func kernelThreadsConfig(threads int) cluster.Config {
 func kernelBackends(t *testing.T, threads int) map[string]rt.Runtime {
 	t.Helper()
 	cfg := kernelThreadsConfig(threads)
-	w, err := remote.NewWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	co, err := remote.NewCoordinatorConfig(cfg, []string{w.Addr()}, remote.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { co.Close() })
 	return map[string]rt.Runtime{
 		"sim": cluster.MustNew(cfg),
-		"tcp": co,
+		"tcp": startTCP(t, cfg),
 	}
 }
 

@@ -19,29 +19,13 @@ const testCacheBudget = 64 << 20
 // carries the same budget so planners attach stage epochs.
 func startCachedCluster(t *testing.T, n int, muts ...func(*cluster.Config)) (*remote.Coordinator, []*remote.Worker) {
 	t.Helper()
-	workers := make([]*remote.Worker, n)
-	addrs := make([]string, n)
-	for i := range workers {
-		w, err := remote.NewWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.Close() })
-		w.SetCacheBytes(testCacheBudget)
-		workers[i] = w
-		addrs[i] = w.Addr()
-	}
 	cfg := testConfig()
+	cfg.Nodes = n
 	cfg.CacheBytes = testCacheBudget
 	for _, mut := range muts {
 		mut(&cfg)
 	}
-	co, err := remote.NewCoordinator(cfg, addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { co.Close() })
-	return co, workers
+	return startLocal(t, cfg)
 }
 
 func gnmfInputs(bs int) (x, u, v *block.Matrix) {
@@ -141,9 +125,11 @@ func TestRemoteCacheConformsToSim(t *testing.T) {
 // TestRemoteCacheInvalidationOnRebind: rebinding an input between queries
 // must never serve its stale blocks (the result matches an uncached
 // reference) and must reclaim the stale residency via the coordinator's
-// invalidation push.
+// invalidation push. Stealing is pinned off: a stolen task caches its
+// unchanged inputs on the thief as well, so residency would depend on
+// scheduling rather than only on what invalidation reclaimed.
 func TestRemoteCacheInvalidationOnRebind(t *testing.T) {
-	co, workers := startCachedCluster(t, 2)
+	co, workers := startCachedCluster(t, 2, func(c *cluster.Config) { c.DisableStealing = true })
 	bs := testConfig().BlockSize
 
 	const rows, cols, k = 48, 32, 8

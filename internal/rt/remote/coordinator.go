@@ -512,11 +512,15 @@ func (c *Coordinator) suspectAndProbe(w *workerConn) bool {
 	if old := w.setConn(conn); old != nil {
 		old.Close()
 	}
+	// Dispatchable before Confirm publishes the active row, as in AddWorker:
+	// a watcher woken by the change must never see an active member that
+	// AliveWorkers does not count.
+	w.alive.Store(true)
 	if _, err := c.mem.Confirm(w.id); err != nil {
+		w.alive.Store(false)
 		conn.Close()
 		return false
 	}
-	w.alive.Store(true)
 	return true
 }
 
@@ -819,16 +823,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		stealTasks atomic.Int64
 		mu         sync.Mutex
 		firstErr   error
-		flops      int64
-		maxFlops   int64
-		peakMem    int64
-		cacheHits  int64
-		cacheMiss  int64
-		cacheEvict int64
-		cacheSaved int64
-		fetchSecs  float64
-		pfSecs     float64
-		taskSecs   float64
+		stage      = cluster.Stats{Stages: 1} // tasks fold in under mu
 	)
 	aborted := func() bool {
 		mu.Lock()
@@ -958,20 +953,7 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 			return
 		}
 		mu.Lock()
-		flops += done.Metrics.Flops
-		if done.Metrics.Flops > maxFlops {
-			maxFlops = done.Metrics.Flops
-		}
-		if done.Metrics.MemPeakBytes > peakMem {
-			peakMem = done.Metrics.MemPeakBytes
-		}
-		cacheHits += done.Metrics.CacheHits
-		cacheMiss += done.Metrics.CacheMisses
-		cacheEvict += done.Metrics.CacheEvictions
-		cacheSaved += done.Metrics.CacheSavedBytes
-		fetchSecs += done.Metrics.FetchSeconds
-		pfSecs += done.Metrics.PrefetchSeconds
-		taskSecs += done.Metrics.TaskSeconds
+		stage.AddTask(done.Metrics)
 		mu.Unlock()
 		if err := st.Collect(taskID, done.Blocks); err != nil {
 			setErr(err)
@@ -1027,29 +1009,18 @@ func (c *Coordinator) RunSpecStage(st *rt.Stage) error {
 		return firstErr
 	}
 
-	wall := time.Since(start).Seconds()
-	c.local.AddStats(cluster.Stats{
-		ConsolidationBytes: wire.consolidation.Load(),
-		AggregationBytes:   wire.aggregation.Load(),
-		ExtraWireBytes:     wire.extra.Load(),
-		Flops:              flops,
-		Stages:             1,
-		Tasks:              sp.NumTasks,
-		SimSeconds:         wall, // the remote backend's clock is real time
-		WallSeconds:        wall,
-		PeakTaskMemBytes:   peakMem,
-		MaxTaskFlops:       maxFlops,
-		CacheHits:          cacheHits,
-		CacheMisses:        cacheMiss,
-		CacheEvictions:     cacheEvict,
-		CacheSavedBytes:    cacheSaved,
-		PrefetchBlocks:     wire.pfBlocks.Load(),
-		PrefetchBytes:      wire.pfBytes.Load(),
-		StealTasks:         stealTasks.Load(),
-		FetchSeconds:       fetchSecs,
-		PrefetchSeconds:    pfSecs,
-		TaskSeconds:        taskSecs,
-	})
+	// Byte and prefetch counters are the encoded bytes this coordinator
+	// actually moved, replacing the workers' own SizeBytes accounting; the
+	// remote backend's clock is real time.
+	stage.ConsolidationBytes = wire.consolidation.Load()
+	stage.AggregationBytes = wire.aggregation.Load()
+	stage.ExtraWireBytes = wire.extra.Load()
+	stage.PrefetchBlocks = wire.pfBlocks.Load()
+	stage.PrefetchBytes = wire.pfBytes.Load()
+	stage.StealTasks = stealTasks.Load()
+	stage.WallSeconds = time.Since(start).Seconds()
+	stage.SimSeconds = stage.WallSeconds
+	c.local.AddStats(stage)
 	return nil
 }
 

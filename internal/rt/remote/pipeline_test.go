@@ -29,23 +29,9 @@ func stealConfig() cluster.Config {
 // at stage start).
 func startStealCluster(t *testing.T, n int) (*remote.Coordinator, []*remote.Worker) {
 	t.Helper()
-	workers := make([]*remote.Worker, n)
-	addrs := make([]string, n)
-	for i := range workers {
-		w, err := remote.NewWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.Close() })
-		workers[i] = w
-		addrs[i] = w.Addr()
-	}
-	co, err := remote.NewCoordinator(stealConfig(), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { co.Close() })
-	return co, workers
+	cfg := stealConfig()
+	cfg.Nodes = n
+	return startLocal(t, cfg)
 }
 
 // TestRemoteStragglerSteal: with one worker slowed per task, the fast worker

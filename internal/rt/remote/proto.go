@@ -23,6 +23,7 @@ import (
 	"io"
 
 	"fuseme/internal/blockcache"
+	"fuseme/internal/cluster"
 	"fuseme/internal/rt/spec"
 )
 
@@ -133,7 +134,7 @@ type taskAssign struct {
 // (worker-clock timestamps; the coordinator skew-corrects them) when the
 // assignment requested tracing, led by the enclosing whole-task span.
 type taskDone struct {
-	Metrics spec.TaskMetrics
+	Metrics cluster.TaskMetrics
 	Blocks  []spec.OutBlock
 	Spans   []spec.SpanRec
 
@@ -228,23 +229,40 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return nil
 }
 
+// frameChunk is the largest payload readFrame allocates up front. A header
+// is only a claim: larger payloads grow as their bytes actually arrive, so a
+// forged length costs its sender the bytes, not the reader the allocation.
+const frameChunk = 1 << 20
+
 // readFrame reads one framed message.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", n)
+	size := binary.BigEndian.Uint32(hdr[1:])
+	if size > maxFrame {
+		return 0, nil, fmt.Errorf("remote: frame of %d bytes exceeds limit", size)
 	}
-	if n > 0 {
-		payload = make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
+	n := int(size)
+	if n == 0 {
+		return hdr[0], nil, nil
+	}
+	payload = make([]byte, min(n, frameChunk))
+	for read := 0; ; {
+		if _, err := io.ReadFull(r, payload[read:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised more
+			}
 			return 0, nil, err
 		}
+		if read = len(payload); read == n {
+			return hdr[0], payload, nil
+		}
+		grown := make([]byte, min(n, 2*read))
+		copy(grown, payload)
+		payload = grown
 	}
-	return hdr[0], payload, nil
 }
 
 // writeGob writes a gob-encoded framed message.

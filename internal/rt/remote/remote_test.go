@@ -29,23 +29,20 @@ func testConfig() cluster.Config {
 // startCluster launches n in-process workers and a coordinator over them.
 func startCluster(t *testing.T, n int) (*remote.Coordinator, []*remote.Worker) {
 	t.Helper()
-	workers := make([]*remote.Worker, n)
-	addrs := make([]string, n)
-	for i := range workers {
-		w, err := remote.NewWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.Close() })
-		workers[i] = w
-		addrs[i] = w.Addr()
-	}
-	co, err := remote.NewCoordinator(testConfig(), addrs)
+	cfg := testConfig()
+	cfg.Nodes = n
+	return startLocal(t, cfg)
+}
+
+// startLocal starts a remote.Local for cfg, closed when t ends.
+func startLocal(t *testing.T, cfg cluster.Config) (*remote.Coordinator, []*remote.Worker) {
+	t.Helper()
+	lc, err := remote.StartLocal(cfg, remote.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { co.Close() })
-	return co, workers
+	t.Cleanup(func() { lc.Close() })
+	return lc.Coordinator, lc.Workers
 }
 
 // queries covers every executor stage shape: cuboid with a sparse mask,

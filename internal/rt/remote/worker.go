@@ -619,13 +619,13 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 	if o := w.obs.Load(); o.Enabled() {
 		o.Counter(obs.MWorkerTasksTotal).Inc()
 		o.Histogram(obs.MWorkerTaskSeconds).Observe(taskDur.Seconds())
-		con, agg, _, _ := task.Counters()
-		o.Counter(obs.MWorkerFetchBytes).Add(con)
-		o.Counter(obs.MWorkerResultBytes).Add(agg)
-		if hits, misses, evs, _ := task.CacheCounters(); hits+misses > 0 {
-			o.Counter(obs.MCacheHits).Add(hits)
-			o.Counter(obs.MCacheMisses).Add(misses)
-			o.Counter(obs.MCacheEvictions).Add(evs)
+		m := task.Metrics()
+		o.Counter(obs.MWorkerFetchBytes).Add(m.ConsolidationBytes)
+		o.Counter(obs.MWorkerResultBytes).Add(m.AggregationBytes)
+		if m.CacheHits+m.CacheMisses > 0 {
+			o.Counter(obs.MCacheHits).Add(m.CacheHits)
+			o.Counter(obs.MCacheMisses).Add(m.CacheMisses)
+			o.Counter(obs.MCacheEvictions).Add(m.CacheEvictions)
 			o.Gauge(obs.MCacheResidentBytes).Set(float64(cache.ResidentBytes()))
 		}
 		delta, threads := w.kernelStatsDelta()
@@ -667,22 +667,10 @@ func (w *Worker) runTask(conn net.Conn, assign *taskAssign) {
 			})
 		}
 	}
-	con, agg, flops, mem := task.Counters()
-	hits, misses, evs, saved := task.CacheCounters()
+	metrics := task.Metrics()
+	metrics.FetchSeconds, metrics.PrefetchSeconds, metrics.TaskSeconds = fetchSecs, pfSecs, taskDur.Seconds()
 	writeGob(conn, msgDone, taskDone{
-		Metrics: spec.TaskMetrics{
-			ConsolidationBytes: con,
-			AggregationBytes:   agg,
-			Flops:              flops,
-			MemPeakBytes:       mem,
-			CacheHits:          hits,
-			CacheMisses:        misses,
-			CacheEvictions:     evs,
-			CacheSavedBytes:    saved,
-			FetchSeconds:       fetchSecs,
-			PrefetchSeconds:    pfSecs,
-			TaskSeconds:        taskDur.Seconds(),
-		},
+		Metrics: metrics,
 		Blocks:  blocks,
 		Spans:   spans,
 		Fetched: fetched,

@@ -217,31 +217,6 @@ type OutBlock struct {
 	Data   []byte
 }
 
-// TaskMetrics carries a remote task's metering counters back to the
-// coordinator. Byte counters reflect the worker's own SizeBytes accounting;
-// the coordinator separately measures actual wire bytes.
-type TaskMetrics struct {
-	ConsolidationBytes int64
-	AggregationBytes   int64
-	Flops              int64
-	MemPeakBytes       int64
-
-	// Block-cache counters for the task (see internal/blockcache).
-	CacheHits       int64
-	CacheMisses     int64
-	CacheEvictions  int64
-	CacheSavedBytes int64
-
-	// Pipelined-execution metering (proto v5). FetchSeconds is the wire
-	// wait inside the task body (time blocked on msgFetch round-trips,
-	// excluding buffered prefetch hits); PrefetchSeconds the wire time the
-	// worker spent pulling the next task's blocks while this task's kernel
-	// ran; TaskSeconds the task's wall time on the worker.
-	FetchSeconds    float64
-	PrefetchSeconds float64
-	TaskSeconds     float64
-}
-
 // EncodeBlock serialises a block in the FME1 format. Encoding nil (an
 // all-zero block) returns nil bytes.
 func EncodeBlock(m matrix.Mat) ([]byte, error) {

@@ -579,12 +579,12 @@ func TestServeSoakTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP soak skipped in -short mode")
 	}
-	addrs := make([]string, 2)
-	for i := range addrs {
-		w, err := remote.NewWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+	workers, err := remote.StartWorkers(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, len(workers))
+	for i, w := range workers {
 		defer w.Close()
 		addrs[i] = w.Addr()
 	}

@@ -89,7 +89,7 @@ func RunGNMFAdaptive(e core.Engine, rtm rt.Runtime, x, u, v *block.Matrix, iters
 		}
 		res.U, res.V = out["U2"], out["V2"]
 		cur := rtm.Stats()
-		res.PerIter = append(res.PerIter, diffStats(cur, prev))
+		res.PerIter = append(res.PerIter, cur.Sub(prev))
 		prev = cur
 		resident := residentInputs(rtm, inputs, prevEpochs)
 		prevEpochs = epochSnapshot(inputs)

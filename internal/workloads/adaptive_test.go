@@ -80,47 +80,23 @@ func TestGNMFAdaptiveBitIdentity(t *testing.T) {
 // the bit-identity guarantee when the plan swaps between iterations.
 func TestGNMFAdaptiveBitIdentityTCP(t *testing.T) {
 	cfg := cachedCluster().Config()
-	newTCP := func() (rt.Runtime, func(), error) {
-		addrs := make([]string, cfg.Nodes)
-		var closers []func()
-		for i := range addrs {
-			w, err := remote.NewWorker("127.0.0.1:0")
-			if err != nil {
-				return nil, nil, err
-			}
-			closers = append(closers, func() { w.Close() })
-			addrs[i] = w.Addr()
-		}
-		co, err := remote.NewCoordinatorConfig(cfg, addrs, remote.Config{})
+	newTCP := func() rt.Runtime {
+		lc, err := remote.StartLocal(cfg, remote.Config{})
 		if err != nil {
-			return nil, nil, err
+			t.Fatal(err)
 		}
-		closers = append(closers, func() { co.Close() })
-		return co, func() {
-			for i := len(closers) - 1; i >= 0; i-- {
-				closers[i]()
-			}
-		}, nil
+		t.Cleanup(func() { lc.Close() })
+		return lc.Coordinator
 	}
 
 	x, u0, v0 := adaptiveGNMFInputs()
-	plainRT, cleanup, err := newTCP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup()
-	plain, err := RunGNMF(core.FuseME{}, plainRT, x, u0.Clone(), v0.Clone(), adaptIters)
+	plain, err := RunGNMF(core.FuseME{}, newTCP(), x, u0.Clone(), v0.Clone(), adaptIters)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	adaptRT, cleanup2, err := newTCP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cleanup2()
 	rp := adaptiveReplanner(cfg)
-	adaptive, err := RunGNMFAdaptive(core.FuseME{}, adaptRT, x, u0.Clone(), v0.Clone(), adaptIters,
+	adaptive, err := RunGNMFAdaptive(core.FuseME{}, newTCP(), x, u0.Clone(), v0.Clone(), adaptIters,
 		AdaptiveConfig{Replanner: rp})
 	if err != nil {
 		t.Fatal(err)

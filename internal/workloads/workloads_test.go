@@ -107,6 +107,29 @@ func TestGNMFConvergence(t *testing.T) {
 	}
 }
 
+// TestGNMFPerIterationMaxima: each iteration's stats delta carries the
+// running per-task maxima (heaviest task's flops, peak task memory), not a
+// zero from subtracting them.
+func TestGNMFPerIterationMaxima(t *testing.T) {
+	const users, items, k = 30, 24, 4
+	x := block.RandomDense(users, items, 6, 0.5, 1.5, 1)
+	u := block.RandomDense(k, items, 6, 0.2, 0.8, 2)
+	v := block.RandomDense(users, k, 6, 0.2, 0.8, 3)
+	res, err := RunGNMF(core.FuseME{}, testCluster(), x, u, v, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range res.PerIter {
+		if s.MaxTaskFlops <= 0 || s.PeakTaskMemBytes <= 0 {
+			t.Errorf("iteration %d: MaxTaskFlops = %d, PeakTaskMemBytes = %d, want both > 0",
+				i, s.MaxTaskFlops, s.PeakTaskMemBytes)
+		}
+		if s.MaxTaskFlops > res.Total.MaxTaskFlops {
+			t.Errorf("iteration %d: MaxTaskFlops %d above the run's %d", i, s.MaxTaskFlops, res.Total.MaxTaskFlops)
+		}
+	}
+}
+
 // TestGNMFEnginesAgree: the factors after two iterations must match across
 // engines bit-close.
 func TestGNMFEnginesAgree(t *testing.T) {
